@@ -131,6 +131,14 @@ def _cmd_change_basis(args) -> int:
     return EXIT_OK
 
 
+def _emit_certificate(path: Optional[str], cert) -> None:
+    """Write the certificate before anything reaches stdout, so a failed
+    write (an OSError, exit 2) never follows a printed answer."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_certificate(cert))
+
+
 def _cmd_verify_lemma(args) -> int:
     e = _load_frame(args.e, "e")
     f = _load_frame(args.f, "f")
@@ -142,11 +150,9 @@ def _cmd_verify_lemma(args) -> int:
     if not check_certificate(cert):
         print("internal error: certificate failed substitution check")
         return EXIT_NEGATIVE
+    _emit_certificate(args.emit_cert, cert)
     print("C")
     print(cert.coefficient_matrix)
-    if args.emit_cert:
-        with open(args.emit_cert, "w", encoding="utf-8") as fh:
-            fh.write(render_certificate(cert))
     return EXIT_OK
 
 
@@ -158,10 +164,8 @@ def _cmd_trace(args) -> int:
     except (ValueError, NotAFrameError) as exc:
         print(f"lemma preconditions fail: {exc}")
         return EXIT_NEGATIVE
+    _emit_certificate(args.emit_cert, trace.final_certificate)
     sys.stdout.write(render_trace(trace))
-    if args.emit_cert:
-        with open(args.emit_cert, "w", encoding="utf-8") as fh:
-            fh.write(render_certificate(trace.final_certificate))
     return EXIT_OK
 
 
@@ -289,7 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (FormatError, NotAFrameError, ValueError) as exc:
+    except (FormatError, NotAFrameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

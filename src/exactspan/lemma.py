@@ -17,12 +17,16 @@ from .core import (
     Matrix,
     VecSequence,
     Vector,
+    identity,
+    kernel_basis,
     lin_comb,
     matrix,
+    matrix_from_columns,
+    reduced_form,
+    solve_many,
     zero_vector,
 )
 from .field import Field
-from .core import kernel_basis, solve_many
 from .spans import (
     Frame,
     NotAFrameError,
@@ -51,6 +55,17 @@ class LinearMap:
         return self.domain_frame.field
 
 
+def _require_f_in_span_of_e(e: Frame, f: Frame) -> None:
+    if any(c is None for c in solve_many(e.seq, tuple(f.seq))):
+        raise ValueError("f is not contained in the span of e")
+
+
+def _annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
+    zero = zero_vector(f.field, f.ambient_dim)
+    images = tuple(zero if j == i else f[j] for j in range(len(f)))
+    return LinearMap(e, VecSequence(f.field, f.ambient_dim, images))
+
+
 def build_annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
     """The map sending e[j] to f[j] for j != i and e[i] to zero (0-based i)."""
     n = len(e)
@@ -58,12 +73,8 @@ def build_annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
         raise ValueError("frames must have equal length")
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for frames of length {n}")
-    e_span = span_of(e.seq)
-    if not e_span.contains_seq(f.seq):
-        raise ValueError("f is not contained in the span of e")
-    zero = zero_vector(f.field, f.ambient_dim)
-    images = tuple(zero if j == i else f[j] for j in range(n))
-    return LinearMap(e, VecSequence(f.field, f.ambient_dim, images))
+    _require_f_in_span_of_e(e, f)
+    return _annihilating_map(e, f, i)
 
 
 def apply_map(lmap: LinearMap, x: Vector) -> Vector:
@@ -78,24 +89,22 @@ def restricted_kernel_witness(lmap: LinearMap, sub: Subspace) -> Optional[Vector
     The witness is normalized so its leading nonzero coordinate in the
     domain frame is one, which makes traces deterministic.
     """
-    dom_span = span_of(lmap.domain_frame.seq)
-    if not dom_span.contains_seq(sub.canonical_basis):
-        raise ValueError("subspace is not contained in the domain span")
+    dom = lmap.domain_frame
     basis = sub.canonical_basis
+    sols = solve_many(dom.seq, tuple(basis))
+    if any(c is None for c in sols):
+        raise ValueError("subspace is not contained in the domain span")
     if len(basis) == 0:
         return None
-    images = [apply_map(lmap, b) for b in basis]
-    cols = matrix(
-        lmap.field,
-        [[img.entries[i] for img in images] for i in range(images[0].ambient_dim)],
-        cols=len(images),
-    )
-    ker = kernel_basis(cols)
+    # domain coordinates of each basis vector; the map is linear, so these
+    # also give the images and the witness's own domain coordinates
+    dom_coords = VecSequence(lmap.field, len(dom), tuple(Vector(lmap.field, c) for c in sols))
+    images = tuple(lin_comb(lmap.images, c) for c in sols)
+    ker = kernel_basis(matrix_from_columns(VecSequence(lmap.field, lmap.images.ambient_dim, images)))
     if len(ker) == 0:
         return None
     witness = lin_comb(basis, ker[0].entries)
-    dom_coords = tuple(coordinates(lmap.domain_frame, witness))
-    lead = next(c for c in dom_coords if c)
+    lead = next(c for c in lin_comb(dom_coords, ker[0].entries).entries if c)
     return witness.scale(lead.inverse())
 
 
@@ -115,8 +124,7 @@ def verify_basic_lemma(e: Frame, f: Frame) -> InclusionCertificate:
     n = len(e)
     if len(f) != n:
         raise ValueError("frames must have equal length")
-    if not span_of(e.seq).contains_seq(f.seq):
-        raise ValueError("f is not contained in the span of e")
+    _require_f_in_span_of_e(e, f)
     cols = solve_many(f.seq, tuple(e.seq))
     if any(c is None for c in cols):
         raise NotAFrameError("inclusion system unsolvable; inputs were not valid frames")
@@ -138,7 +146,7 @@ def check_certificate(cert: InclusionCertificate) -> bool:
             if acc != e[i]:
                 return False
         return True
-    except Exception:
+    except (ValueError, IndexError):
         return False
 
 
@@ -166,14 +174,48 @@ class ProofTrace:
         return InclusionCertificate(last.e, last.f, last.coefficient_matrix)
 
 
-def _level_instance(e: Frame, f: Frame, k: int) -> Tuple[Frame, Frame]:
+def _level_instance(e: Frame, f: Frame, k: int) -> Tuple[Frame, Frame, VecSequence]:
     """Sub-instance at induction level k: the k-prefix of f paired with the
-    canonical frame of its span; the top level is the original pair."""
+    canonical frame of its span; the top level is the original pair.  The
+    canonical basis of span(fk) comes third."""
     if k == len(f):
-        return e, f
+        return e, f, span_of(f.seq).canonical_basis
     fk = Frame(VecSequence(f.field, f.ambient_dim, f.seq.items[:k]))
-    ek = Frame(span_of(fk.seq).canonical_basis)
-    return ek, fk
+    basis = span_of(fk.seq).canonical_basis
+    return Frame(basis), fk, basis
+
+
+_NO_WITNESS = "restriction has trivial kernel; inputs were not valid frames"
+
+
+def _level_witnesses(
+    ek: Frame, fk: Frame, basis: VecSequence
+) -> Tuple[Tuple[LinearMap, ...], Tuple[Vector, ...]]:
+    """The k annihilating maps of one level and a kernel witness for each.
+
+    With X the ek-coordinates of the basis of span(fk), map i restricted to
+    that basis is D_i X in ek-coordinates, D_i the identity with entry i
+    zeroed, so column i of X^-1 spans its kernel: one inversion gives every
+    witness.  Each is checked by substitution before it is recorded."""
+    field, k = ek.field, len(ek)
+    x_cols = solve_many(ek.seq, tuple(basis))
+    if any(c is None for c in x_cols):
+        raise NotAFrameError(_NO_WITNESS)
+    x = VecSequence(field, k, tuple(Vector(field, c) for c in x_cols))
+    units = tuple(Vector(field, row) for row in identity(field, k).entries)
+    x_inv_cols = solve_many(x, units)
+    if any(y is None for y in x_inv_cols):
+        raise NotAFrameError(_NO_WITNESS)
+    maps = tuple(_annihilating_map(ek, fk, i) for i in range(k))
+    witnesses: List[Vector] = []
+    for lmap, y in zip(maps, x_inv_cols):
+        witness = lin_comb(basis, y)
+        coords = lin_comb(x, y).entries
+        if witness.is_zero() or not lin_comb(lmap.images, coords).is_zero():
+            raise NotAFrameError(_NO_WITNESS)
+        lead = next(c for c in coords if c)
+        witnesses.append(witness.scale(lead.inverse()))
+    return maps, tuple(witnesses)
 
 
 def trace_induction(e: Frame, f: Frame) -> ProofTrace:
@@ -185,68 +227,54 @@ def trace_induction(e: Frame, f: Frame) -> ProofTrace:
         raise ValueError("frames must have equal length")
     if n == 0:
         raise ValueError("empty frames have no inclusion system")
-    if not span_of(e.seq).contains_seq(f.seq):
-        raise ValueError("f is not contained in the span of e")
+    _require_f_in_span_of_e(e, f)
     levels: List[TraceLevel] = []
     for k in range(1, n + 1):
-        ek, fk = _level_instance(e, f, k)
-        fk_span = span_of(fk.seq)
+        ek, fk, basis = _level_instance(e, f, k)
         if k == 1:
             lam = coordinates(fk, ek[0])
             cmat = matrix(e.field, [[lam.coeffs[0]]], cols=1)
             levels.append(TraceLevel(1, ek, fk, (), (), cmat))
             continue
-        maps: List[LinearMap] = []
-        witnesses: List[Vector] = []
-        cols = []
-        for i in range(k):
-            lmap = build_annihilating_map(ek, fk, i)
-            witness = restricted_kernel_witness(lmap, fk_span)
-            if witness is None:
-                raise NotAFrameError(
-                    "restriction has trivial kernel; inputs were not valid frames"
-                )
-            maps.append(lmap)
-            witnesses.append(witness)
-            # normalized witness is exactly ek[i]; its f-coordinates give
-            # column i of the inclusion matrix
-            cols.append(tuple(coordinates(fk, witness)))
+        maps, witnesses = _level_witnesses(ek, fk, basis)
+        # normalized witness i is exactly ek[i]; its f-coordinates give
+        # column i of the inclusion matrix
+        cols = solve_many(fk.seq, witnesses)
+        if any(c is None for c in cols):
+            raise NotAFrameError("inclusion system unsolvable; inputs were not valid frames")
         cmat = matrix(e.field, [[cols[i][j] for i in range(k)] for j in range(k)], cols=k)
-        levels.append(TraceLevel(k, ek, fk, tuple(maps), tuple(witnesses), cmat))
+        levels.append(TraceLevel(k, ek, fk, maps, witnesses, cmat))
     return ProofTrace(tuple(levels))
 
 
 def steinitz_extend(basis: Frame, fr: Frame) -> Tuple[Frame, Tuple[int, ...], int]:
     """Extend the frame ``fr`` to a basis by a left-to-right scan of
     ``basis``; the number of picked vectors always equals the codimension
-    of the frame's span."""
+    of the frame's span.
+
+    A basis vector is picked exactly when it lies outside the span of the
+    frame and the vectors picked before it, that is, when its column is a
+    pivot column of the reduced echelon form of ``[fr | basis]`` taken as
+    columns; one elimination gives the whole scan."""
     m = basis.ambient_dim
     if fr.ambient_dim != m or fr.field != basis.field:
         raise ValueError("ambient space mismatch")
     if len(basis) != m:
         raise NotAFrameError("first argument must be a basis of the full space")
-    current = fr.seq
-    r_current = len(fr)
-    picked: List[int] = []
-    for idx, v in enumerate(basis):
-        candidate = current.append(v)
-        if rank_seq(candidate) > r_current:
-            current = candidate
-            r_current += 1
-            picked.append(idx)
-    extended = Frame(current)
-    l = m - len(fr)
-    if len(picked) != l or rank_seq(current) != m:
+    k = len(fr)
+    both = VecSequence(fr.field, m, fr.seq.items + basis.seq.items)
+    pivots = reduced_form(matrix_from_columns(both)).pivots
+    picked = tuple(c - k for c in pivots if c >= k)
+    extended = Frame(VecSequence(fr.field, m, fr.seq.items + tuple(basis[i] for i in picked)))
+    if len(picked) != m - k or len(pivots) != m:
         raise AssertionError("frame extension failed to reach a basis")
-    return extended, tuple(picked), len(picked)
+    return extended, picked, len(picked)
 
 
 def rank_bound_check(base: VecSequence, derived: VecSequence) -> bool:
     """Soundness canary: sequences of combinations of n vectors never exceed
     rank n.  A False return signals an internal bug, not a property of the
     input."""
-    base_span = span_of(base)
-    for v in derived:
-        if not base_span.contains(v):
-            raise ValueError("derived vector outside the span of the base sequence")
+    if not span_of(base).contains_seq(derived):
+        raise ValueError("derived vector outside the span of the base sequence")
     return rank_seq(derived) <= rank_seq(base) <= len(base)

@@ -17,6 +17,7 @@ from .core import (
     Vector,
     mat_product,
     matrix,
+    matrix_from_columns,
     matrix_from_rows,
     rank_matrix,
     reduced_form,
@@ -97,7 +98,7 @@ class Subspace:
         return member(self, x) is not None
 
     def contains_seq(self, seq: VecSequence) -> bool:
-        return all(self.contains(v) for v in seq)
+        return all(c is not None for c in solve_many(self.canonical_basis, tuple(seq)))
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_seq(self.canonical_basis)
@@ -131,23 +132,22 @@ def extend_frame(fr: Frame, sub: Subspace) -> Vector:
     appending it keeps the sequence a frame."""
     if not sub.contains_seq(fr.seq):
         raise ValueError("frame is not contained in the subspace")
-    fr_span = span_of(fr.seq)
-    for v in sub.canonical_basis:
-        if not fr_span.contains(v):
+    basis = sub.canonical_basis
+    sols = solve_many(fr.seq, tuple(basis))
+    for v, sol in zip(basis, sols):
+        if sol is None:
             return v
     raise MaximalFrameError("frame already spans the subspace")
 
 
 def basis_from_generators(gens: VecSequence) -> Frame:
-    """Greedy left-to-right independent subsequence spanning span(gens)."""
-    kept = VecSequence(gens.field, gens.ambient_dim, ())
-    r = 0
-    for v in gens:
-        candidate = kept.append(v)
-        if rank_seq(candidate) > r:
-            kept = candidate
-            r += 1
-    return Frame(kept)
+    """Greedy left-to-right independent subsequence spanning span(gens).
+
+    A generator raises the rank of the prefix before it exactly when its
+    column is a pivot column of the reduced echelon form of the generators
+    taken as columns, so the greedy scan is read off one elimination."""
+    pivots = reduced_form(matrix_from_columns(gens)).pivots
+    return Frame(VecSequence(gens.field, gens.ambient_dim, tuple(gens[c] for c in pivots)))
 
 
 def dimension(sub: Subspace) -> int:

@@ -154,9 +154,12 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
         if len(parts) != 2 or parts[0] != key:
             raise FormatError(f"line {lineno}: expected '{key} <int>', got {line!r}")
         try:
-            return int(parts[1])
+            value = int(parts[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer in {line!r}") from None
+        if value < 0:
+            raise FormatError(f"line {lineno}: negative {key} in {line!r}")
+        return value
 
     ambient = keyed_int(2, "ambient")
     length = keyed_int(3, "length")

@@ -132,3 +132,24 @@ def test_exit_1_never_used_for_io_problems(capsys):
     # I/O problem: exit 2, diagnostic on stderr
     code, out, err = run(capsys, "member", "-s", "missing.mat", "-x", fx("x_out_q.mat"))
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize("command", ["verify-lemma", "trace"])
+def test_failed_certificate_write_exits_2(capsys, tmp_path, command):
+    target = tmp_path / "no_such_dir" / "c.txt"
+    code, out, err = run(
+        capsys,
+        command, "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"),
+        "--emit-cert", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_vacuous_certificate_is_bad_input(capsys, tmp_path):
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("certificate\nfield gf 2\nambient -3\nlength 0\ne\nf\nC\nend\n")
+    code, out, err = run(capsys, "oracle-check", "--cert", str(cert_path))
+    assert code == 2 and out == "" and "negative" in err

@@ -1,0 +1,107 @@
+"""Eliminations per public question, pinned as regression guards.
+
+Every elimination goes through ``reduced_form``.  Modules import it by name
+(``from .core import reduced_form``), so each of core, spans and lemma holds
+its own binding and the counter wraps all three.  Frames are built before
+counting starts: building a ``Frame`` checks independence with one
+elimination of its own.
+"""
+
+import random
+
+import pytest
+
+from exactspan import (
+    GF,
+    QQ,
+    VecSequence,
+    basis_from_generators,
+    change_of_basis,
+    span_of,
+    steinitz_extend,
+    trace_induction,
+    verify_basic_lemma,
+)
+from exactspan import core, lemma, spans
+from exactspan.randgen import random_frame, random_frame_pair, random_sequence, random_vector
+
+FIELDS = (GF(2), GF(3), GF(5), QQ)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Run a call and return how many eliminations it made."""
+    calls = []
+    original = core.reduced_form
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return original(m)
+
+    for module in (core, spans, lemma):
+        monkeypatch.setattr(module, "reduced_form", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    return count
+
+
+def frame_pairs(seed, count=8, max_n=5):
+    rng = random.Random(seed)
+    for field in FIELDS:
+        for _ in range(count):
+            n = rng.randint(1, max_n)
+            yield random_frame_pair(field, rng.randint(n, max_n + 1), n, rng)
+
+
+def test_verify_basic_lemma_makes_two(eliminations):
+    for e, f in frame_pairs(1):
+        assert eliminations(verify_basic_lemma, e, f) == 2
+
+
+def test_change_of_basis_makes_two(eliminations):
+    for e, f in frame_pairs(2):
+        assert eliminations(change_of_basis, e, f) == 2
+
+
+def test_contains_seq_makes_one(eliminations):
+    rng = random.Random(3)
+    for field in FIELDS:
+        for _ in range(8):
+            m = rng.randint(1, 5)
+            sub = span_of(random_sequence(field, m, rng.randint(0, m), rng))
+            inside = tuple(sub.canonical_basis)
+            outside = tuple(random_vector(field, m, rng) for _ in range(rng.randint(0, 4)))
+            for items in ((), inside, inside + outside):
+                seq = VecSequence(field, m, items)
+                assert eliminations(sub.contains_seq, seq) == 1
+
+
+def test_basis_from_generators_makes_at_most_two(eliminations):
+    rng = random.Random(4)
+    for field in FIELDS:
+        for _ in range(8):
+            gens = random_sequence(field, rng.randint(1, 6), rng.randint(0, 12), rng)
+            assert eliminations(basis_from_generators, gens) <= 2
+
+
+def test_steinitz_extend_makes_at_most_two(eliminations):
+    rng = random.Random(5)
+    for field in FIELDS:
+        for _ in range(8):
+            m = rng.randint(1, 6)
+            basis = random_frame(field, m, m, rng)
+            fr = random_frame(field, m, rng.randint(0, m), rng)
+            assert eliminations(steinitz_extend, basis, fr) <= 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_trace_induction_is_linear_in_n(eliminations, n):
+    rng = random.Random(6)
+    for field in FIELDS:
+        e, f = random_frame_pair(field, n + 1, n, rng)
+        assert eliminations(trace_induction, e, f) <= 7 * n
+

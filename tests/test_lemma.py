@@ -7,6 +7,7 @@ from exactspan import (
     QQ,
     Frame,
     InclusionCertificate,
+    Vector,
     NotAFrameError,
     apply_map,
     build_annihilating_map,
@@ -165,6 +166,17 @@ def test_check_certificate_identity():
 def test_check_certificate_malformed_shapes():
     e = frame(QQ, [[1, 0], [0, 1]])
     assert not check_certificate(InclusionCertificate(e, e, identity(QQ, 3)))
+
+
+def test_check_certificate_does_not_mask_engine_bugs(monkeypatch):
+    cert = verify_basic_lemma(std_e2(), skew_f2())
+
+    def broken(self, c):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr(Vector, "scale", broken)
+    with pytest.raises(TypeError):
+        check_certificate(cert)
 
 
 def test_trace_rank_one_gf5():

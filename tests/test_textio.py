@@ -3,6 +3,7 @@ import pytest
 from exactspan import GF, QQ, sequence, vector
 from exactspan.textio import (
     FormatError,
+    parse_certificate_text,
     parse_matrix_text,
     render_sequence,
 )
@@ -51,3 +52,12 @@ def test_parse_diagnostics(text, fragment):
 def test_render_parse_round_trip():
     seq = sequence(QQ, [["1/2", -3], [0, "7/5"]])
     assert parse_matrix_text(render_sequence(seq)) == seq
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    ["ambient -3\nlength 0", "ambient 2\nlength -1", "ambient -1\nlength -1"],
+)
+def test_certificate_rejects_negative_sizes(sizes):
+    with pytest.raises(FormatError, match="negative"):
+        parse_certificate_text(f"certificate\nfield gf 2\n{sizes}\ne\nf\nC\nend\n")
