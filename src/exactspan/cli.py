@@ -10,6 +10,8 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import random
 import sys
 from typing import List, Optional
@@ -133,10 +135,24 @@ def _cmd_change_basis(args) -> int:
 
 def _emit_certificate(path: Optional[str], cert) -> None:
     """Write the certificate before anything reaches stdout, so a failed
-    write (an OSError, exit 2) never follows a printed answer."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_certificate(cert))
+    write (an OSError, exit 2) never follows a printed answer.  The text goes
+    to a temporary file next to the target, which then replaces the target
+    in one step: a failure leaves any earlier certificate intact and removes
+    the temporary file."""
+    if not path:
+        return
+    text = render_certificate(cert)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _cmd_verify_lemma(args) -> int:

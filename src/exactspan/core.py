@@ -3,16 +3,19 @@ exact elimination engine (reduced echelon form, span solving, kernels).
 
 A :class:`VecSequence` used as a matrix contributes its vectors as
 *columns*; a :class:`Subspace` (see :mod:`exactspan.spans`) stores its
-canonical basis as echelon *rows*.  Elimination runs on raw
-representatives (ints mod p, or integers via fraction-free Bareiss for
-the rationals) and only wraps results back into scalars at the edges.
+canonical basis as echelon *rows*.  Elimination runs on raw canonical
+values and only wraps results back into scalars at the edges, with one
+kernel per kind of field: bit-packed rows eliminated by XOR over GF(2),
+Gauss-Jordan on the row suffixes from the pivot column on over GF(p), and
+over the rationals a fraction-free Bareiss forward pass followed by
+back-substitution in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, FieldMismatchError, Scalar
@@ -189,24 +192,68 @@ def lin_comb(seq: VecSequence, coeffs: Sequence[Scalar]) -> Vector:
     return acc
 
 
-# -- elimination kernels on raw values ---------------------------------------
+# -- elimination kernels on raw canonical values -----------------------------
+#
+# Each kernel takes the rows of a matrix as lists of canonical values (ints
+# in [0, p), or Fractions in lowest terms) and returns the unique reduced
+# row-echelon form in the same representation, with its pivot columns.
+# When a kernel reaches column c, the rows from the current pivot row down
+# are zero left of c, so the list kernels update only the suffix from c on.
+
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _rref_gf2(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """GF(2): each row packed into one int (bit j = column j), eliminated by XOR.
+
+    Packing reads the reversed 0/1 row as a binary numeral.  Unpacking
+    reverses the binary digits again; a sentinel bit at ``n_cols`` keeps the
+    leading zeros, and leaves no digit at all when there are no columns."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    packed = [int(bytes(row[::-1]).translate(_BITS_TO_DIGITS) or b"0", 2) for row in rows]
+    pivots: List[int] = []
+    r = 0
+    for c in range(n_cols):
+        bit = 1 << c
+        pr = next((i for i in range(r, n_rows) if packed[i] & bit), None)
+        if pr is None:
+            continue
+        packed[r], packed[pr] = packed[pr], packed[r]
+        piv = packed[r]
+        for i in range(n_rows):
+            if i != r and packed[i] & bit:
+                packed[i] ^= piv
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    sentinel = 1 << n_cols
+    return [list(bin(v | sentinel)[:2:-1].encode().translate(_DIGITS_TO_BITS)) for v in packed], pivots
+
 
 def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
+    """GF(p) Gauss-Jordan: scale the pivot row's suffix, update other rows'
+    suffixes, skip rows whose multiplier is zero."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     r = 0
     for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if rows[i][c] % p), None)
+        pr = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
+        piv = rows[r]
+        inv = pow(piv[c], p - 2, p)
+        tail = [x * inv % p for x in piv[c:]]
+        rows[r] = piv[:c] + tail
         for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -215,16 +262,19 @@ def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[in
 
 
 def _rref_rational(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Fraction-free Bareiss forward pass on cleared-denominator integer rows,
-    then exact back-substitution to the unique reduced echelon form."""
+    """Q: fraction-free Bareiss forward pass on cleared-denominator integer
+    rows, then back-substitution in integers.
+
+    The back-substitution computes D·RREF, where D is the last Bareiss pivot
+    (the determinant of the pivot minor, so D·RREF is integral), from the
+    bottom row up with one exact division by each row's own pivot; only the
+    final entries become Fractions."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     m: List[List[int]] = []
     for row in rows:
-        d = 1
-        for x in row:
-            d = d * x.denominator // gcd(d, x.denominator)
-        m.append([int(x * d) for x in row])
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
 
     pivots: List[int] = []
     prev = 1
@@ -234,25 +284,40 @@ def _rref_rational(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], Li
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
+        piv = m[r]
+        a = piv[c]
+        tail = piv[c + 1:]
+        lead = [0] * (c + 1)
         for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = lead + [(a * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif a != prev:
+                m[i] = lead + [a * x // prev for x in row[c + 1:]]
+        prev = a
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
 
-    out = [[Fraction(x) for x in row] for row in m]
-    for r in range(len(pivots) - 1, -1, -1):
+    rank = len(pivots)
+    big_d = prev
+    zero = Fraction(0)
+    out = [[zero] * n_cols for _ in range(n_rows)]
+    scaled: List[List[int]] = [[]] * rank  # scaled[s]: row s of D·RREF, from column pivots[s] on
+    for r in range(rank - 1, -1, -1):
         c = pivots[r]
-        piv = out[r][c]
-        out[r] = [x / piv for x in out[r]]
-        for i in range(r):
-            f = out[i][c]
+        row = m[r]
+        acc = [big_d * x for x in row[c:]]
+        for s in range(r + 1, rank):
+            f = row[pivots[s]]
             if f:
-                out[i] = [x - f * y for x, y in zip(out[i], out[r])]
+                off = pivots[s] - c
+                acc[off:] = [x - f * y for x, y in zip(acc[off:], scaled[s])]
+        d = row[c]
+        scaled[r] = [x // d for x in acc]
+        out[r][c:] = [Fraction(x, big_d) if x else zero for x in scaled[r]]
     return out, pivots
 
 
@@ -268,13 +333,18 @@ class ReducedForm:
 
 def reduced_form(m: Matrix) -> ReducedForm:
     """The unique reduced row-echelon form of ``m`` with pivot columns."""
-    if m.field.modulus is not None:
-        raw = [[s.value for s in row] for row in m.entries]
-        rows, pivots = _rref_mod_p(raw, m.field.modulus)
+    field = m.field
+    p = field.modulus
+    raw = [[s.value for s in row] for row in m.entries]
+    if p is None:
+        rows, pivots = _rref_rational(raw)
+    elif p == 2:
+        rows, pivots = _rref_gf2(raw)
     else:
-        raw_q = [[s.value for s in row] for row in m.entries]
-        rows, pivots = _rref_rational(raw_q)
-    return ReducedForm(matrix(m.field, rows, cols=m.cols), tuple(pivots))
+        rows, pivots = _rref_mod_p(raw, p)
+    # kernel values are canonical by construction: box them without Field.scalar
+    entries = tuple(tuple(Scalar(field, x) for x in row) for row in rows)
+    return ReducedForm(Matrix(field, m.rows, m.cols, entries), tuple(pivots))
 
 
 def rank_matrix(m: Matrix) -> int:
@@ -299,14 +369,7 @@ def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tup
             raise FieldMismatchError("target field mismatch")
         if t.ambient_dim != seq.ambient_dim:
             raise ValueError("target ambient dimension mismatch")
-    aug = matrix(
-        field,
-        [
-            [seq[j].entries[i] for j in range(n)] + [t.entries[i] for t in targets]
-            for i in range(seq.ambient_dim)
-        ],
-        cols=n + len(targets),
-    )
+    aug = matrix_from_columns(VecSequence(field, seq.ambient_dim, seq.items + tuple(targets)))
     red = reduced_form(aug)
     r = red.matrix
     seq_pivots = [c for c in red.pivots if c < n]

@@ -7,11 +7,15 @@ denominator), and all operations are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 MAX_MODULUS = 2**31
+
+# ``int()`` alone would also take "1_0", non-ASCII digits and inner spaces
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 
 
 class FieldMismatchError(ValueError):
@@ -72,24 +76,19 @@ class Field:
         return Scalar(self, Fraction(value))
 
     def parse(self, text: str) -> "Scalar":
-        """Parse a canonical-syntax literal: signed integer, or a/b over the rationals."""
-        text = text.strip()
-        if "/" in text:
-            if self.modulus is not None:
-                raise ScalarParseError(f"fraction syntax {text!r} not allowed in GF({self.modulus})")
-            num_s, _, den_s = text.partition("/")
-            try:
-                num, den = int(num_s), int(den_s)
-            except ValueError:
-                raise ScalarParseError(f"malformed rational literal {text!r}") from None
-            if den == 0:
-                raise ScalarParseError(f"zero denominator in {text!r}")
-            return Scalar(self, Fraction(num, den))
-        try:
-            n = int(text)
-        except ValueError:
-            raise ScalarParseError(f"malformed scalar literal {text!r}") from None
-        return self.scalar(n)
+        """Parse a canonical-syntax literal: an ASCII signed integer, or over
+        the rationals also ``a/b`` with an ASCII unsigned denominator."""
+        lit = _LITERAL.fullmatch(text)
+        if lit is None:
+            raise ScalarParseError(f"malformed scalar literal {text!r}")
+        num, den = lit.group(1, 2)
+        if den is None:
+            return self.scalar(int(num))
+        if self.modulus is not None:
+            raise ScalarParseError(f"fraction syntax {text!r} not allowed in GF({self.modulus})")
+        if int(den) == 0:
+            raise ScalarParseError(f"zero denominator in {text!r}")
+        return Scalar(self, Fraction(int(num), int(den)))
 
     @property
     def zero(self) -> "Scalar":

@@ -153,3 +153,50 @@ def test_vacuous_certificate_is_bad_input(capsys, tmp_path):
     cert_path.write_text("certificate\nfield gf 2\nambient -3\nlength 0\ne\nf\nC\nend\n")
     code, out, err = run(capsys, "oracle-check", "--cert", str(cert_path))
     assert code == 2 and out == "" and "negative" in err
+
+
+@pytest.mark.parametrize("command", ["verify-lemma", "trace"])
+def test_failed_certificate_replace_keeps_old_certificate(capsys, tmp_path, monkeypatch, command):
+    target = tmp_path / "c.txt"
+    target.write_text("previous certificate\n")
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    code, out, err = run(
+        capsys,
+        command, "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"),
+        "--emit-cert", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "simulated rename failure" in err
+    assert target.read_text() == "previous certificate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
+
+
+def test_certificate_overwrite_leaves_no_temporary_file(capsys, tmp_path):
+    target = tmp_path / "c.txt"
+    target.write_text("previous certificate\n")
+    code, out, _ = run(
+        capsys,
+        "verify-lemma", "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"),
+        "--emit-cert", str(target),
+    )
+    assert code == 0 and out.startswith("C\n")
+    assert check_certificate(parse_certificate_file(str(target)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
+
+
+@pytest.mark.parametrize(
+    "field,literal",
+    [("q", "1_0"), ("gf 5", "1_0"), ("q", "١٢")],
+    ids=["underscore_q", "underscore_gf5", "arabic_indic"],
+)
+def test_lenient_int_literal_exits_2(capsys, tmp_path, field, literal):
+    path = tmp_path / "seq.mat"
+    path.write_text(f"field {field}\ndims 1 1\n{literal}\n", encoding="utf-8")
+    code, out, err = run(capsys, "rank", "-s", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")

@@ -35,6 +35,36 @@ def test_parse_malformed(text):
         QQ.parse(text)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "gf5"])
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "١٢", "１", " 1", "1 ", "1\n", "+", "-", "--1", "0x1", "1e3", "²"],
+    ids=["underscore", "arabic_indic", "fullwidth", "lead_space", "trail_space", "newline",
+         "plus", "minus", "double_sign", "hex", "exponent", "superscript"],
+)
+def test_parse_accepts_only_ascii_integers(field, text):
+    with pytest.raises(ScalarParseError):
+        field.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/ 2", "1 /2", "1/_2", "1/2_0", "1/-2", "1/+2", "١/2", "1/٢", "/2", "1/"],
+)
+def test_parse_rational_literal_strict(text):
+    with pytest.raises(ScalarParseError):
+        QQ.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("+3", Fraction(3)), ("-0", Fraction(0)), ("007", Fraction(7)), ("+6/4", Fraction(3, 2)),
+     ("-06/004", Fraction(-3, 2)), ("12345678901234567890/3", Fraction(12345678901234567890, 3))],
+)
+def test_parse_accepts_ascii_forms(text, value):
+    assert QQ.parse(text).value == value
+
+
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
         GF(6)
