@@ -1,11 +1,16 @@
-"""Coordinate vectors, ordered vector sequences, scalar matrices and the
-exact elimination engine (reduced echelon form, span solving, kernels).
+"""Coordinate vectors, ordered vector sequences, matrices and the exact
+elimination engine (reduced echelon form, span solving, kernels).
 
 A :class:`VecSequence` used as a matrix contributes its vectors as
 *columns*; a :class:`Subspace` (see :mod:`exactspan.spans`) stores its
-canonical basis as echelon *rows*.  Elimination runs on raw canonical
-values and only wraps results back into scalars at the edges, with one
-kernel per kind of field: bit-packed rows eliminated by XOR over GF(2),
+canonical basis as echelon *rows*.  A :class:`Vector` holds
+:class:`~exactspan.field.Scalar` entries.  A :class:`Matrix` holds one
+interned field and rows of raw canonical values (ints in [0, p), or
+Fractions in lowest terms), the representation the elimination kernels
+work on, so nothing is boxed into or out of an elimination; scalars are
+made only by the accessors (``entries``, ``m[(i, j)]``, ``column``) and
+for the coefficients ``solve_many`` returns.  There is one kernel per kind
+of field: bit-packed rows eliminated by XOR over GF(2),
 Gauss-Jordan on the row suffixes from the pivot column on over GF(p), and
 over the rationals a fraction-free Bareiss forward pass followed by
 back-substitution in integers.
@@ -16,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import Field, FieldMismatchError, Scalar
 
@@ -28,7 +34,7 @@ class Vector:
 
     def __post_init__(self) -> None:
         for s in self.entries:
-            if s.field != self.field:
+            if s.field is not self.field:
                 raise FieldMismatchError("vector entry from a different field")
 
     @property
@@ -39,7 +45,7 @@ class Vector:
         return not any(self.entries)
 
     def __add__(self, other: "Vector") -> "Vector":
-        if other.field != self.field or other.ambient_dim != self.ambient_dim:
+        if other.field is not self.field or other.ambient_dim != self.ambient_dim:
             raise FieldMismatchError("vector field/dimension mismatch")
         return Vector(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
@@ -52,7 +58,8 @@ class Vector:
 
 def vector(field: Field, entries: Iterable) -> Vector:
     """Build a vector, coercing ints / strings / Fractions entrywise."""
-    return Vector(field, tuple(field.scalar(e) for e in entries))
+    canon = field.canon
+    return Vector(field, tuple(Scalar(field, canon(e)) for e in entries))
 
 
 def zero_vector(field: Field, dim: int) -> Vector:
@@ -69,7 +76,7 @@ class VecSequence:
 
     def __post_init__(self) -> None:
         for v in self.items:
-            if v.field != self.field or v.ambient_dim != self.ambient_dim:
+            if v.field is not self.field or v.ambient_dim != self.ambient_dim:
                 raise FieldMismatchError("sequence item field/dimension mismatch")
 
     def __len__(self) -> int:
@@ -97,42 +104,45 @@ def sequence(field: Field, rows: Iterable[Iterable], ambient_dim: Optional[int] 
 
 @dataclass(frozen=True)
 class Matrix:
+    """Rows of raw canonical values of ``field``; build one with
+    :func:`matrix`, which canonicalises each entry."""
+
     field: Field
     rows: int
     cols: int
-    entries: Tuple[Tuple[Scalar, ...], ...]
+    values: Tuple[Tuple[Union[int, Fraction], ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(self.values) != self.rows or any(len(r) != self.cols for r in self.values):
             raise ValueError("matrix shape does not match entries")
-        for row in self.entries:
-            for s in row:
-                if s.field != self.field:
-                    raise FieldMismatchError("matrix entry from a different field")
+
+    @property
+    def entries(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        field = self.field
+        return tuple(tuple(Scalar(field, x) for x in row) for row in self.values)
 
     def __getitem__(self, idx: Tuple[int, int]) -> Scalar:
         i, j = idx
-        return self.entries[i][j]
+        return Scalar(self.field, self.values[i][j])
 
     def column(self, j: int) -> Vector:
-        return Vector(self.field, tuple(self.entries[i][j] for i in range(self.rows)))
+        field = self.field
+        return Vector(field, tuple(Scalar(field, row[j]) for row in self.values))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        one, zero = self.field.one, self.field.zero
         return all(
-            self.entries[i][j] == (one if i == j else zero)
-            for i in range(self.rows)
-            for j in range(self.cols)
+            x == (1 if i == j else 0) for i, row in enumerate(self.values) for j, x in enumerate(row)
         )
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(str(s) for s in row) for row in self.entries)
+        return "\n".join(" ".join(str(x) for x in row) for row in self.values)
 
 
 def matrix(field: Field, rows: Iterable[Iterable], cols: Optional[int] = None) -> Matrix:
-    data = tuple(tuple(field.scalar(e) for e in row) for row in rows)
+    canon = field.canon
+    data = tuple(tuple(canon(e) for e in row) for row in rows)
     if data:
         cols = len(data[0])
     elif cols is None:
@@ -147,37 +157,26 @@ def identity(field: Field, n: int) -> Matrix:
 def matrix_from_columns(seq: VecSequence) -> Matrix:
     """Sequence-as-columns convention: vector j becomes column j."""
     m, n = seq.ambient_dim, len(seq)
-    return Matrix(
-        seq.field, m, n,
-        tuple(tuple(seq[j].entries[i] for j in range(n)) for i in range(m)),
-    )
+    cols = [tuple(s.value for s in v.entries) for v in seq]
+    return Matrix(seq.field, m, n, tuple(zip(*cols)) if n else ((),) * m)
 
 
 def matrix_from_rows(seq: VecSequence) -> Matrix:
-    return Matrix(seq.field, len(seq), seq.ambient_dim, tuple(v.entries for v in seq))
+    values = tuple(tuple(s.value for s in v.entries) for v in seq)
+    return Matrix(seq.field, len(seq), seq.ambient_dim, values)
 
 
 def mat_product(a: Matrix, b: Matrix) -> Matrix:
-    if a.field != b.field:
+    if a.field is not b.field:
         raise FieldMismatchError("matrix field mismatch")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if a.field.modulus is not None:
-        p = a.field.modulus
-        ar = [[s.value for s in row] for row in a.entries]
-        br = [[s.value for s in row] for row in b.entries]
-        out = [
-            [sum(ar[i][k] * br[k][j] for k in range(a.cols)) % p for j in range(b.cols)]
-            for i in range(a.rows)
-        ]
-    else:
-        ar = [[s.value for s in row] for row in a.entries]
-        br = [[s.value for s in row] for row in b.entries]
-        out = [
-            [sum((ar[i][k] * br[k][j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
-            for i in range(a.rows)
-        ]
-    return matrix(a.field, out, cols=b.cols)
+    p = a.field.modulus
+    zero = a.field.canon(0)
+    b_cols = tuple(zip(*b.values)) if b.rows else ((),) * b.cols
+    dots = (tuple(sum(map(mul, row, col), zero) for col in b_cols) for row in a.values)
+    values = tuple(dots) if p is None else tuple(tuple(x % p for x in row) for row in dots)
+    return Matrix(a.field, a.rows, b.cols, values)
 
 
 def lin_comb(seq: VecSequence, coeffs: Sequence[Scalar]) -> Vector:
@@ -186,7 +185,7 @@ def lin_comb(seq: VecSequence, coeffs: Sequence[Scalar]) -> Vector:
         raise ValueError(f"{len(coeffs)} coefficients for a sequence of length {len(seq)}")
     acc = zero_vector(seq.field, seq.ambient_dim)
     for c, v in zip(coeffs, seq):
-        if c.field != seq.field:
+        if c.field is not seq.field:
             raise FieldMismatchError("coefficient field mismatch")
         acc = acc + v.scale(c)
     return acc
@@ -194,9 +193,10 @@ def lin_comb(seq: VecSequence, coeffs: Sequence[Scalar]) -> Vector:
 
 # -- elimination kernels on raw canonical values -----------------------------
 #
-# Each kernel takes the rows of a matrix as lists of canonical values (ints
-# in [0, p), or Fractions in lowest terms) and returns the unique reduced
-# row-echelon form in the same representation, with its pivot columns.
+# Each kernel takes the rows of a matrix as sequences of canonical values
+# (ints in [0, p), or Fractions in lowest terms) and returns the unique
+# reduced row-echelon form as lists of the same values, with its pivot
+# columns.  Only the GF(p) kernel writes to the list of rows it is given.
 # When a kernel reaches column c, the rows from the current pivot row down
 # are zero left of c, so the list kernels update only the suffix from c on.
 
@@ -204,7 +204,7 @@ _BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _rref_gf2(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+def _rref_gf2(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
     """GF(2): each row packed into one int (bit j = column j), eliminated by XOR.
 
     Packing reads the reversed 0/1 row as a binary numeral.  Unpacking
@@ -261,7 +261,7 @@ def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[in
     return rows, pivots
 
 
-def _rref_rational(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+def _rref_rational(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     """Q: fraction-free Bareiss forward pass on cleared-denominator integer
     rows, then back-substitution in integers.
 
@@ -333,18 +333,14 @@ class ReducedForm:
 
 def reduced_form(m: Matrix) -> ReducedForm:
     """The unique reduced row-echelon form of ``m`` with pivot columns."""
-    field = m.field
-    p = field.modulus
-    raw = [[s.value for s in row] for row in m.entries]
+    p = m.field.modulus
     if p is None:
-        rows, pivots = _rref_rational(raw)
+        rows, pivots = _rref_rational(m.values)
     elif p == 2:
-        rows, pivots = _rref_gf2(raw)
+        rows, pivots = _rref_gf2(m.values)
     else:
-        rows, pivots = _rref_mod_p(raw, p)
-    # kernel values are canonical by construction: box them without Field.scalar
-    entries = tuple(tuple(Scalar(field, x) for x in row) for row in rows)
-    return ReducedForm(Matrix(field, m.rows, m.cols, entries), tuple(pivots))
+        rows, pivots = _rref_mod_p([list(row) for row in m.values], p)
+    return ReducedForm(Matrix(m.field, m.rows, m.cols, tuple(map(tuple, rows))), tuple(pivots))
 
 
 def rank_matrix(m: Matrix) -> int:
@@ -365,27 +361,27 @@ def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tup
     field = seq.field
     n = len(seq)
     for t in targets:
-        if t.field != field:
+        if t.field is not field:
             raise FieldMismatchError("target field mismatch")
         if t.ambient_dim != seq.ambient_dim:
             raise ValueError("target ambient dimension mismatch")
     aug = matrix_from_columns(VecSequence(field, seq.ambient_dim, seq.items + tuple(targets)))
     red = reduced_form(aug)
-    r = red.matrix
+    rows = red.matrix.values
     seq_pivots = [c for c in red.pivots if c < n]
+    zero = field.zero
     out: List[Optional[Tuple[Scalar, ...]]] = []
     for k in range(len(targets)):
         col = n + k
         # target is reachable iff its column never becomes a pivot *for the
         # rows below the sequence's pivots*: any nonzero entry there is
         # an inconsistency
-        ok = all(not r[(i, col)] for i in range(len(seq_pivots), r.rows))
-        if not ok:
+        if any(rows[i][col] for i in range(len(seq_pivots), aug.rows)):
             out.append(None)
             continue
-        coeffs = [field.zero] * n
+        coeffs = [zero] * n
         for row_idx, c in enumerate(seq_pivots):
-            coeffs[c] = r[(row_idx, col)]
+            coeffs[c] = Scalar(field, rows[row_idx][col])
         out.append(tuple(coeffs))
     return out
 
@@ -393,16 +389,20 @@ def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tup
 def kernel_basis(m: Matrix) -> VecSequence:
     """Canonical spanning frame of the right kernel {x : m x = 0}."""
     red = reduced_form(m)
-    r = red.matrix
-    pivots = list(red.pivots)
+    rows = red.matrix.values
+    pivots = red.pivots
     field = m.field
-    free = [c for c in range(m.cols) if c not in pivots]
+    canon = field.canon
+    zero, one = field.zero, field.one
+    pivot_set = set(pivots)
     vecs = []
-    for f in free:
-        entries = [field.zero] * m.cols
-        entries[f] = field.one
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        entries = [zero] * m.cols
+        entries[f] = one
         for row_idx, c in enumerate(pivots):
-            entries[c] = -r[(row_idx, f)]
+            entries[c] = Scalar(field, canon(-rows[row_idx][f]))
         vecs.append(Vector(field, tuple(entries)))
     return VecSequence(field, m.cols, tuple(vecs))
 

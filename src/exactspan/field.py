@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 MAX_MODULUS = 2**31
 
@@ -41,39 +41,66 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Field:
-    """GF(p) when ``modulus`` is a prime, the rationals when it is None."""
+    """GF(p) when ``modulus`` is a prime, the rationals when it is None.
+
+    Fields are interned: ``Field(p)`` returns the one instance for ``p``,
+    so equal fields are identical and a modulus is validated only once."""
 
     modulus: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        p = self.modulus
-        if p is not None:
-            if not (2 <= p < MAX_MODULUS):
-                raise ValueError(f"modulus must be in [2, 2^31), got {p}")
-            if not _is_prime(p):
-                raise ValueError(f"modulus must be prime, got {p}")
+    def __new__(cls, modulus: Optional[int] = None) -> "Field":
+        p = modulus
+        if p is not None and type(p) is not int:
+            raise ValueError(f"modulus must be an int, got {p!r}")
+        field = _FIELDS.get(p)
+        if field is None:
+            if p is not None:
+                if not (2 <= p < MAX_MODULUS):
+                    raise ValueError(f"modulus must be in [2, 2^31), got {p}")
+                if not _is_prime(p):
+                    raise ValueError(f"modulus must be prime, got {p}")
+            field = object.__new__(cls)
+            object.__setattr__(field, "modulus", p)
+            _FIELDS[p] = field
+        return field
+
+    def __reduce__(self):
+        return Field, (self.modulus,)
 
     @property
     def is_prime_field(self) -> bool:
         return self.modulus is not None
 
+    def canon(self, value: Union[int, Fraction, str, "Scalar"]) -> Union[int, Fraction]:
+        """The raw canonical value of an int, Fraction, literal string or
+        Scalar in this field: an int in [0, p), or a Fraction in lowest terms."""
+        p = self.modulus
+        t = type(value)
+        if t is int:
+            return Fraction(value) if p is None else value % p
+        if t is Fraction and p is None:
+            return value
+        if isinstance(value, Scalar):
+            if value.field is not self:
+                raise FieldMismatchError(f"scalar from {value.field} used in {self}")
+            return value.value
+        if isinstance(value, str):
+            return self.parse(value).value
+        if p is None:
+            return Fraction(value)
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise ValueError("fractional value in a prime field")
+            value = value.numerator
+        return value % p
+
     def scalar(self, value: Union[int, Fraction, str, "Scalar"]) -> "Scalar":
         """Coerce an int, Fraction, literal string or Scalar into this field."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatchError(f"scalar from {value.field} used in {self}")
+        if type(value) is Scalar and value.field is self:
             return value
-        if isinstance(value, str):
-            return self.parse(value)
-        if self.modulus is not None:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError("fractional value in a prime field")
-                value = value.numerator
-            return Scalar(self, value % self.modulus)
-        return Scalar(self, Fraction(value))
+        return Scalar(self, self.canon(value))
 
     def parse(self, text: str) -> "Scalar":
         """Parse a canonical-syntax literal: an ASCII signed integer, or over
@@ -83,7 +110,7 @@ class Field:
             raise ScalarParseError(f"malformed scalar literal {text!r}")
         num, den = lit.group(1, 2)
         if den is None:
-            return self.scalar(int(num))
+            return Scalar(self, self.canon(int(num)))
         if self.modulus is not None:
             raise ScalarParseError(f"fraction syntax {text!r} not allowed in GF({self.modulus})")
         if int(den) == 0:
@@ -92,14 +119,17 @@ class Field:
 
     @property
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return Scalar(self, self.canon(0))
 
     @property
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return Scalar(self, self.canon(1))
 
     def __repr__(self) -> str:
         return f"GF({self.modulus})" if self.modulus is not None else "QQ"
+
+
+_FIELDS: Dict[Optional[int], Field] = {}
 
 
 def GF(p: int) -> Field:
@@ -119,7 +149,7 @@ class Scalar:
     def _check(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
 
     def __add__(self, other: "Scalar") -> "Scalar":

@@ -47,7 +47,7 @@ class LinearMap:
     def __post_init__(self) -> None:
         if len(self.images) != len(self.domain_frame):
             raise ValueError("one image per domain frame vector required")
-        if self.images.field != self.domain_frame.field:
+        if self.images.field is not self.domain_frame.field:
             raise ValueError("image field mismatch")
 
     @property
@@ -257,7 +257,7 @@ def steinitz_extend(basis: Frame, fr: Frame) -> Tuple[Frame, Tuple[int, ...], in
     pivot column of the reduced echelon form of ``[fr | basis]`` taken as
     columns; one elimination gives the whole scan."""
     m = basis.ambient_dim
-    if fr.ambient_dim != m or fr.field != basis.field:
+    if fr.ambient_dim != m or fr.field is not basis.field:
         raise ValueError("ambient space mismatch")
     if len(basis) != m:
         raise NotAFrameError("first argument must be a basis of the full space")

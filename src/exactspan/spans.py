@@ -106,10 +106,12 @@ class Subspace:
 
 def span_of(seq: VecSequence) -> Subspace:
     """The minimal subspace containing every item of ``seq``."""
+    field = seq.field
     red = reduced_form(matrix_from_rows(seq))
-    rows = red.matrix.entries[: red.rank]
-    basis = VecSequence(seq.field, seq.ambient_dim, tuple(Vector(seq.field, r) for r in rows))
-    return Subspace(seq.field, seq.ambient_dim, basis)
+    rows = red.matrix.values[: red.rank]
+    vecs = tuple(Vector(field, tuple(Scalar(field, x) for x in row)) for row in rows)
+    basis = VecSequence(field, seq.ambient_dim, vecs)
+    return Subspace(field, seq.ambient_dim, basis)
 
 
 def member(sub: Subspace, x: Vector) -> Optional[Coordinates]:

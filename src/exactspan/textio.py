@@ -32,6 +32,7 @@ level's frames and are not serialized.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from .core import Matrix, VecSequence, matrix, sequence
@@ -42,6 +43,17 @@ from .spans import Frame
 
 class FormatError(ValueError):
     """Malformed input file; message carries a line diagnostic."""
+
+
+# ``int()`` alone would also take "1_0", non-ASCII digits and inner spaces
+_INT = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
+def _header_int(lineno: int, token: str, line: str) -> int:
+    """An ASCII signed integer from a header line."""
+    if _INT.fullmatch(token) is None:
+        raise FormatError(f"line {lineno}: non-integer {token!r} in {line!r}")
+    return int(token)
 
 
 def _logical_lines(text: str) -> List[Tuple[int, str]]:
@@ -60,8 +72,9 @@ def _parse_field_line(lineno: int, line: str) -> Field:
     if parts[1:] == ["q"]:
         return QQ
     if len(parts) == 3 and parts[1] == "gf":
+        p = _header_int(lineno, parts[2], line)
         try:
-            return GF(int(parts[2]))
+            return GF(p)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     raise FormatError(f"line {lineno}: expected 'field gf <p>' or 'field q', got {line!r}")
@@ -86,10 +99,7 @@ def parse_matrix_text(text: str) -> VecSequence:
     parts = dims_line.split()
     if len(parts) != 3 or parts[0] != "dims":
         raise FormatError(f"line {lineno}: expected 'dims <rows> <cols>', got {dims_line!r}")
-    try:
-        rows, cols = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer dimensions in {dims_line!r}") from None
+    rows, cols = (_header_int(lineno, t, dims_line) for t in parts[1:])
     if rows < 0 or cols < 0:
         raise FormatError(f"line {lineno}: negative dimensions")
     data = lines[2:]
@@ -119,7 +129,7 @@ def render_sequence(seq: VecSequence) -> str:
 
 def _rows(m_or_seq) -> List[str]:
     if isinstance(m_or_seq, Matrix):
-        return [" ".join(str(s) for s in row) for row in m_or_seq.entries]
+        return [" ".join(str(x) for x in row) for row in m_or_seq.values]
     return [" ".join(str(s) for s in v.entries) for v in m_or_seq]
 
 
@@ -153,10 +163,7 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise FormatError(f"line {lineno}: expected '{key} <int>', got {line!r}")
-        try:
-            value = int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer in {line!r}") from None
+        value = _header_int(lineno, parts[1], line)
         if value < 0:
             raise FormatError(f"line {lineno}: negative {key} in {line!r}")
         return value

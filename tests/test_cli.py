@@ -200,3 +200,24 @@ def test_lenient_int_literal_exits_2(capsys, tmp_path, field, literal):
     code, out, err = run(capsys, "rank", "-s", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["field gf 1_1\ndims 1 2", "field gf 2\ndims ١ 2", "field gf 2\ndims 1 ２"],
+    ids=["field_underscore", "dims_arabic_indic", "dims_fullwidth"],
+)
+def test_lenient_header_integer_exits_2(capsys, tmp_path, header):
+    path = tmp_path / "seq.mat"
+    path.write_text(f"{header}\n1 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "rank", "-s", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "non-integer" in err
+
+
+def test_lenient_certificate_header_integer_exits_2(capsys, tmp_path):
+    path = tmp_path / "cert.txt"
+    path.write_text("certificate\nfield gf 2\nambient 0_0\nlength 0\ne\nf\nC\nend\n", encoding="utf-8")
+    code, out, err = run(capsys, "oracle-check", "--cert", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "non-integer" in err

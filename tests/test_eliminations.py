@@ -5,6 +5,9 @@ Every elimination goes through ``reduced_form``.  Modules import it by name
 its own binding and the counter wraps all three.  Frames are built before
 counting starts: building a ``Frame`` checks independence with one
 elimination of its own.
+
+The engine works on raw canonical values, so it makes no ``Field.scalar``
+call on inputs that are already built; a second counter wraps that method.
 """
 
 import random
@@ -14,6 +17,7 @@ import pytest
 from exactspan import (
     GF,
     QQ,
+    Field,
     VecSequence,
     basis_from_generators,
     change_of_basis,
@@ -23,6 +27,7 @@ from exactspan import (
     verify_basic_lemma,
 )
 from exactspan import core, lemma, spans
+from exactspan.core import kernel_basis, matrix_from_columns, reduced_form, solve_many
 from exactspan.randgen import random_frame, random_frame_pair, random_sequence, random_vector
 
 FIELDS = (GF(2), GF(3), GF(5), QQ)
@@ -105,3 +110,36 @@ def test_trace_induction_is_linear_in_n(eliminations, n):
         e, f = random_frame_pair(field, n + 1, n, rng)
         assert eliminations(trace_induction, e, f) <= 7 * n
 
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """Run a call and return how many times it called ``Field.scalar``."""
+    calls = []
+    original = Field.scalar
+
+    def counted(field, value):
+        calls.append(value)
+        return original(field, value)
+
+    monkeypatch.setattr(Field, "scalar", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    return count
+
+
+def test_engine_makes_no_field_scalar_calls(scalar_calls):
+    rng = random.Random(7)
+    for field in FIELDS + (GF(65521),):
+        for _ in range(8):
+            m = rng.randint(0, 6)
+            seq = random_sequence(field, m, rng.randint(0, 8), rng)
+            targets = tuple(random_vector(field, m, rng) for _ in range(3)) + tuple(seq)[:2]
+            columns = matrix_from_columns(seq)
+            assert scalar_calls(reduced_form, columns) == 0
+            assert scalar_calls(solve_many, seq, targets) == 0
+            assert scalar_calls(kernel_basis, columns) == 0
+            assert scalar_calls(span_of, seq) == 0

@@ -166,3 +166,89 @@ def test_fermat_little(p):
         for _ in range(p - 1):
             acc = acc * a
         assert acc == f.one
+
+
+# -- interning ---------------------------------------------------------------
+
+import copy  # noqa: E402
+import pickle  # noqa: E402
+
+from exactspan import Scalar, matrix  # noqa: E402
+from exactspan import field as field_module  # noqa: E402
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+def test_prime_fields_are_interned(p):
+    assert GF(p) is GF(p)
+    assert Field(p) is GF(p)
+    assert GF(p) == GF(p) and hash(GF(p)) == hash(GF(p))
+
+
+def test_rationals_are_interned():
+    assert Field(None) is QQ
+    assert Field() is QQ
+    assert QQ != GF(2) and GF(2) != GF(3)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), QQ], ids=["gf2", "gf7", "q"])
+def test_copies_and_pickles_return_the_interned_field(field):
+    assert copy.copy(field) is field
+    assert copy.deepcopy(field) is field
+    assert pickle.loads(pickle.dumps(field)) is field
+    s = field.scalar(3)
+    for clone in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert clone == s and clone.field is field
+
+
+def test_fields_are_immutable():
+    with pytest.raises(AttributeError):
+        GF(5).modulus = 7
+    with pytest.raises(AttributeError):
+        del QQ.modulus
+    assert GF(5).modulus == 5 and QQ.modulus is None
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4, 6, -3, 2**31, 2**31 + 11])
+def test_invalid_moduli_raise_every_time_and_are_never_cached(bad):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Field(bad)
+    assert bad not in field_module._FIELDS
+
+
+@pytest.mark.parametrize("bad", [2.0, "5", True])
+def test_non_int_moduli_are_rejected(bad):
+    GF(2)
+    with pytest.raises(ValueError, match="must be an int"):
+        Field(bad)
+
+
+def test_matrix_rejects_a_scalar_from_another_field():
+    with pytest.raises(FieldMismatchError):
+        matrix(GF(3), [[GF(5).one]])
+    with pytest.raises(FieldMismatchError):
+        matrix(QQ, [[1, GF(2).one]])
+
+
+@pytest.mark.parametrize(
+    "field,value,raw",
+    [(GF(5), 7, 2), (GF(5), -3, 2), (GF(5), Fraction(8), 3), (GF(5), "-1", 4),
+     (GF(5), GF(5).scalar(4), 4),
+     (QQ, 3, Fraction(3)), (QQ, Fraction(-6, 4), Fraction(-3, 2)), (QQ, "2/4", Fraction(1, 2)),
+     (QQ, QQ.scalar(Fraction(1, 3)), Fraction(1, 3))],
+)
+def test_canon_gives_the_raw_canonical_value(field, value, raw):
+    got = field.canon(value)
+    assert got == raw and type(got) is type(raw)
+    assert field.scalar(value) == Scalar(field, raw)
+
+
+def test_canon_rejects_foreign_and_fractional_values():
+    with pytest.raises(FieldMismatchError):
+        GF(3).canon(GF(5).one)
+    with pytest.raises(FieldMismatchError):
+        QQ.canon(GF(2).one)
+    with pytest.raises(ValueError, match="fractional"):
+        GF(5).canon(Fraction(1, 2))
+    with pytest.raises(ScalarParseError):
+        GF(5).canon("1/2")

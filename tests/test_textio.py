@@ -61,3 +61,41 @@ def test_render_parse_round_trip():
 def test_certificate_rejects_negative_sizes(sizes):
     with pytest.raises(FormatError, match="negative"):
         parse_certificate_text(f"certificate\nfield gf 2\n{sizes}\ne\nf\nC\nend\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field gf 1_1\ndims 1 1\n1\n",
+        "field gf ١١\ndims 1 1\n1\n",
+        "field gf 0x7\ndims 1 1\n1\n",
+        "field q\ndims ١ 2\n1 0\n",
+        "field q\ndims 1 2_0\n1 0\n",
+        "field q\ndims 1 ２\n1 0\n",
+        "field q\ndims 1.0 2\n1 0\n",
+    ],
+    ids=["gf_underscore", "gf_arabic_indic", "gf_hex", "dims_arabic_indic", "dims_underscore",
+         "dims_fullwidth", "dims_decimal_point"],
+)
+def test_matrix_header_integers_are_ascii(text):
+    with pytest.raises(FormatError, match="non-integer"):
+        parse_matrix_text(text)
+
+
+@pytest.mark.parametrize(
+    "field,sizes",
+    [("gf 2", "ambient 0_0\nlength 0"), ("gf 2", "ambient 0\nlength ٠"),
+     ("gf 1_1", "ambient 0\nlength 0"), ("gf 2", "ambient +0\nlength 0x0")],
+    ids=["ambient_underscore", "length_arabic_indic", "field_underscore", "length_hex"],
+)
+def test_certificate_header_integers_are_ascii(field, sizes):
+    with pytest.raises(FormatError, match="non-integer"):
+        parse_certificate_text(f"certificate\nfield {field}\n{sizes}\ne\nf\nC\nend\n")
+
+
+def test_signed_ascii_header_integers_still_parse():
+    assert parse_matrix_text("field gf +2\ndims +1 +2\n1 0\n") == sequence(GF(2), [[1, 0]])
+    with pytest.raises(FormatError, match="negative dimensions"):
+        parse_matrix_text("field q\ndims -1 2\n")
+    with pytest.raises(FormatError, match="modulus"):
+        parse_matrix_text("field gf -3\ndims 0 1\n")
