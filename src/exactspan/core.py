@@ -12,15 +12,20 @@ made only by the accessors (``entries``, ``m[(i, j)]``, ``column``) and
 for the coefficients ``solve_many`` returns.  There is one kernel per kind
 of field: bit-packed rows eliminated by XOR over GF(2),
 Gauss-Jordan on the row suffixes from the pivot column on over GF(p), and
-over the rationals a fraction-free Bareiss forward pass followed by
-back-substitution in integers.
+over the rationals, once rows are cleared of denominators, a certified
+modular route when an entry is wider than a machine word (one elimination
+modulo a 127-bit prime, rational reconstruction, acceptance only after an
+exact substitution check) and otherwise, or when that check fails, a
+fraction-free Bareiss forward pass followed by back-substitution in
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -246,7 +251,7 @@ def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[in
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r]
-        inv = pow(piv[c], p - 2, p)
+        inv = pow(piv[c], -1, p)
         tail = [x * inv % p for x in piv[c:]]
         rows[r] = piv[:c] + tail
         for i in range(n_rows):
@@ -261,9 +266,80 @@ def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[in
     return rows, pivots
 
 
+# The certified modular route over Q: one prime, and the bound within which
+# a residue mod that prime determines a fraction (numerator and denominator
+# at most the bound in absolute value).  Any prime is correct, because every
+# candidate is checked by substitution; this one is large enough that the
+# answers of typical full-rank questions reconstruct from it.
+_Q_PRIME = 2**127 - 1
+_Q_BOUND = isqrt(_Q_PRIME // 2)
+_WORD_BITS = 62
+
+
+def _reconstruct(x: int, p: int, bound: int) -> Optional[Fraction]:
+    """The fraction a/b with |a|, |b| <= ``bound`` and a = b·x (mod p) that
+    the half-extended Euclidean algorithm finds, or None (Wang, Guy and
+    Davenport, *P-adic reconstruction of rational numbers*, 1982)."""
+    r0, r1, t0, t1 = p, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
+
+
+def _rref_rational_modular(
+    m: List[List[int]], n_cols: int
+) -> Optional[Tuple[List[List[Fraction]], List[int]]]:
+    """The RREF of the integer rows ``m`` from one elimination mod
+    ``_Q_PRIME``, or None when it cannot be certified.
+
+    The candidate R is the rational reconstruction of the RREF mod p, and is
+    accepted only if D·a[j] = sum_k a[pivots[k]]·(D·R)[k][j] for every row a
+    of ``m`` and every non-pivot column j (D the lcm of R's denominators).
+    That puts each row of ``m`` in the row space of R, whose dimension is the
+    rank mod p, which is at most the rank over Q; so the row spaces are
+    equal, and R, which has echelon shape, is the unique RREF."""
+    p, bound = _Q_PRIME, _Q_BOUND
+    red, pivots = _rref_mod_p([[x % p for x in row] for row in m], p)
+    pivot_set = set(pivots)
+    free = [j for j in range(n_cols) if j not in pivot_set]
+    zero, one = Fraction(0), Fraction(1)
+    cand: List[List[Fraction]] = []
+    for k, c in enumerate(pivots):
+        row = [zero] * n_cols
+        row[c] = one
+        red_row = red[k]
+        for j in free:
+            x = red_row[j]
+            if x:
+                q = _reconstruct(x, p, bound)
+                if q is None:
+                    return None
+                row[j] = q
+        cand.append(row)
+    big_d = lcm(*(row[j].denominator for row in cand for j in free))
+    scaled_cols = [[row[j].numerator * (big_d // row[j].denominator) for row in cand] for j in free]
+    for a in m:
+        coeffs = [a[c] for c in pivots]
+        for j, col in zip(free, scaled_cols):
+            if big_d * a[j] != sum(map(mul, coeffs, col)):
+                return None
+    cand += ([zero] * n_cols for _ in range(len(m) - len(pivots)))
+    return cand, pivots
+
+
 def _rref_rational(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Q: fraction-free Bareiss forward pass on cleared-denominator integer
-    rows, then back-substitution in integers.
+    """Q: after clearing each row's denominators, rows with an entry wider
+    than a machine word first try the certified modular route
+    (:func:`_rref_rational_modular`: one elimination mod a 127-bit prime,
+    rational reconstruction, acceptance only by exact substitution; W. Stein,
+    *Modular Forms: A Computational Approach*, §7.3).  Otherwise, or when
+    that route finds no certified answer (an answer too large to
+    reconstruct, or a prime dividing the pivot minor), a fraction-free
+    Bareiss forward pass on the integer rows, then back-substitution in
+    integers.
 
     The back-substitution computes D·RREF, where D is the last Bareiss pivot
     (the determinant of the pivot minor, so D·RREF is integral), from the
@@ -275,6 +351,10 @@ def _rref_rational(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fracti
     for row in rows:
         d = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (d // x.denominator) for x in row])
+    if max(map(int.bit_length, chain.from_iterable(m)), default=0) > _WORD_BITS:
+        modular = _rref_rational_modular(m, n_cols)
+        if modular is not None:
+            return modular
 
     pivots: List[int] = []
     prev = 1

@@ -1,6 +1,8 @@
 """Deterministic text formats.
 
-Matrix file (UTF-8, ``\\n`` endings, ``#`` starts a comment line)::
+Matrix file (UTF-8; lines end at ``\\n``, and a ``\\r`` before it is dropped;
+tokens are separated by ASCII spaces or tabs, and any other whitespace
+outside a comment is an error; ``#`` starts a comment)::
 
     field gf 2        # or: field q
     dims 2 2
@@ -38,7 +40,7 @@ from typing import List, Tuple
 from .core import Matrix, VecSequence, matrix, sequence
 from .field import Field, GF, QQ
 from .lemma import InclusionCertificate, ProofTrace
-from .spans import Frame
+from .spans import Frame, NotAFrameError
 
 
 class FormatError(ValueError):
@@ -47,21 +49,39 @@ class FormatError(ValueError):
 
 # ``int()`` alone would also take "1_0", non-ASCII digits and inner spaces
 _INT = re.compile(r"[+-]?[0-9]+", re.ASCII)
+# Whitespace other than a space, a tab or the "\n" that ends a line.  It is
+# rejected rather than read as a line break or a separator, so that
+# ``str.split()`` splits tokens on runs of spaces and tabs alone.  Scanning an
+# ASCII text for the ASCII members is much faster than the regex.
+_OTHER_SPACE = re.compile(r"[^\S \t\n]")
+_OTHER_ASCII_SPACE = [c for c in map(chr, range(128)) if _OTHER_SPACE.match(c)]
 
 
 def _header_int(lineno: int, token: str, line: str) -> int:
     """An ASCII signed integer from a header line."""
     if _INT.fullmatch(token) is None:
         raise FormatError(f"line {lineno}: non-integer {token!r} in {line!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"line {lineno}: {len(token)}-digit integer in a header line") from None
 
 
 def _logical_lines(text: str) -> List[Tuple[int, str]]:
+    """Numbered non-blank lines without comments, split at ``\\n`` and
+    ``\\r\\n``; any other whitespace outside comments is an error."""
+    text = text.replace("\r\n", "\n")
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(" \t")
         if line:
             out.append((lineno, line))
+    if text.isascii() and not any(c in text for c in _OTHER_ASCII_SPACE):
+        return out
+    for lineno, line in out:
+        bad = _OTHER_SPACE.search(line)
+        if bad is not None:
+            raise FormatError(f"line {lineno}: separator {bad.group()!r} is not a space or tab")
     return out
 
 
@@ -108,13 +128,18 @@ def parse_matrix_text(text: str) -> VecSequence:
     return sequence(field, [_parse_row(field, ln, line, cols) for ln, line in data], ambient_dim=cols)
 
 
-def parse_matrix_file(path: str) -> VecSequence:
+def _read(path: str) -> str:
+    """The file's text with its line endings untranslated (``newline=""``),
+    so that only ``\\n`` and ``\\r\\n`` end a line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    return parse_matrix_text(text)
+
+
+def parse_matrix_file(path: str) -> VecSequence:
+    return parse_matrix_text(_read(path))
 
 
 def render_field(field: Field) -> str:
@@ -188,24 +213,25 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
             pos += 1
         return rows
 
+    def frame(name: str, rows: List[List]) -> Frame:
+        try:
+            return Frame(sequence(field, rows, ambient_dim=ambient))
+        except NotAFrameError:
+            raise FormatError(f"certificate section {name!r} is linearly dependent") from None
+
     e_rows = section("e", ambient)
     f_rows = section("f", ambient)
     c_rows = section("C", length)
     if lines[pos][1] != "end":
         raise FormatError(f"line {lines[pos][0]}: expected 'end'")
-    e = Frame(sequence(field, e_rows, ambient_dim=ambient))
-    f = Frame(sequence(field, f_rows, ambient_dim=ambient))
+    e = frame("e", e_rows)
+    f = frame("f", f_rows)
     c = matrix(field, c_rows, cols=length)
     return InclusionCertificate(e, f, c)
 
 
 def parse_certificate_file(path: str) -> InclusionCertificate:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    return parse_certificate_text(text)
+    return parse_certificate_text(_read(path))
 
 
 def render_trace(trace: ProofTrace) -> str:

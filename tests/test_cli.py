@@ -221,3 +221,34 @@ def test_lenient_certificate_header_integer_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "oracle-check", "--cert", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "non-integer" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["field gf 2\x1cdims 1 2\x1c1 0", "field gf 2\ndims 1 2\n1\xa00\n",
+     "field gf 2\x85dims 1 2\x851 0\x85", "field gf 2\ndims 1 2\n1 0\u2028\n",
+     "field gf 2\rdims 1 2\r1 0\r"],
+    ids=["file_separator", "nbsp", "next_line", "line_separator", "bare_cr"],
+)
+def test_other_separators_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "seq.mat"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = run(capsys, "rank", "-s", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line ") and "separator" in err
+
+
+def test_crlf_file_still_parses(capsys, tmp_path):
+    path = tmp_path / "seq.mat"
+    path.write_bytes(b"field gf 2\r\ndims 1 2\r\n1 0\r\n")
+    code, out, _ = run(capsys, "rank", "-s", str(path))
+    assert (code, out) == (0, "rank 1\n")
+
+
+def test_dependent_certificate_frame_exits_2(capsys, tmp_path):
+    path = tmp_path / "cert.txt"
+    path.write_text("certificate\nfield q\nambient 2\nlength 2\ne\n1 0\n2 0\nf\n1 0\n0 1\n"
+                    "C\n1 0\n0 1\nend\n", encoding="utf-8")
+    code, out, err = run(capsys, "oracle-check", "--cert", str(path))
+    assert code == 2 and out == ""
+    assert "linearly dependent" in err

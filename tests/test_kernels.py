@@ -15,7 +15,7 @@ from typing import List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactspan import GF, QQ, matrix, reduced_form
+from exactspan import GF, QQ, core, matrix, reduced_form
 from exactspan.core import _rref_gf2, _rref_mod_p, _rref_rational
 
 
@@ -211,3 +211,102 @@ def test_reduced_form_boxes_canonical_scalars(field):
         for s in row:
             canonical = field.scalar(s.value)
             assert s == canonical and type(s.value) is type(canonical.value)
+
+
+# -- the certified modular route over Q --------------------------------------
+#
+# Rows whose cleared entries are wider than a machine word first go through
+# one elimination mod core._Q_PRIME and rational reconstruction; the result
+# is kept only when substitution certifies it, and Bareiss runs otherwise.
+
+P = core._Q_PRIME
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of the modular route's outcomes, by wrapping its helper."""
+    seen = {"accepted": 0, "fell_back": 0}
+    helper = core._rref_rational_modular
+
+    def counted(*args):
+        out = helper(*args)
+        seen["accepted" if out is not None else "fell_back"] += 1
+        return out
+
+    monkeypatch.setattr(core, "_rref_rational_modular", counted)
+    return seen
+
+
+def q_rows(int_rows):
+    return [[Fraction(x) for x in row] for row in int_rows]
+
+
+def small_answer_rows(rng, n_rows, n_cols):
+    """20-bit rows L·[I | X] with X of height 9, so the RREF is [I | X]."""
+    left = rand_rows(rng, None, n_rows, n_rows, BIG)
+    right = [[Fraction(int(i == j)) for j in range(n_rows)]
+             + [Fraction(rng.randint(-SMALL, SMALL)) for _ in range(n_cols - n_rows)]
+             for i in range(n_rows)]
+    return [[sum((lrow[k] * right[k][j] for k in range(n_rows)), Fraction(0))
+             for j in range(n_cols)] for lrow in left]
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(8, 8), (12, 12), (6, 12), (10, 20)])
+def test_modular_route_certifies_small_answers(routes, n_rows, n_cols):
+    rng = random.Random(f"cert/{n_rows}/{n_cols}")
+    for _ in range(3):
+        assert_same(small_answer_rows(rng, n_rows, n_cols), None)
+    assert routes == {"accepted": 3, "fell_back": 0}
+
+
+def test_modular_route_certifies_rank_one_20bit(routes):
+    rng = random.Random("rank1")
+    for _ in range(3):
+        assert_same(rand_rows(rng, None, 10, 10, BIG, rank=1), None)
+    assert routes == {"accepted": 3, "fell_back": 0}
+
+
+@pytest.mark.parametrize("n_rows,n_cols,rank", [(12, 12, 9), (16, 8, 6), (8, 16, 8), (6, 6, 5)])
+def test_modular_route_falls_back_on_large_answers(routes, n_rows, n_cols, rank):
+    rng = random.Random(f"fallback/{n_rows}/{rank}")
+    for _ in range(3):
+        assert_same(rand_rows(rng, None, n_rows, n_cols, BIG, rank=rank), None)
+    assert routes == {"accepted": 0, "fell_back": 3}
+
+
+@pytest.mark.parametrize(
+    "int_rows,outcome",
+    [
+        ([[1, 1], [1, 1 + P]], "fell_back"),  # rank 2 over Q, 1 mod P
+        ([[P, 2 * P]], "fell_back"),  # rank 0 mod P: every column is checked
+        ([[P, 2 * P], [3 * P, 5 * P]], "fell_back"),
+        ([[P, 1, 3], [1, 0, 5]], "fell_back"),  # right RREF entry 3 - 5P
+        ([[P, 1, 2], [1, 0, 0]], "accepted"),  # P | entries, not the pivot minor
+        ([[2 * P, 1], [1, 0]], "accepted"),
+        ([[P + 1, 2 * P + 2, 1], [P + 1, 2 * P + 2, 2]], "accepted"),
+    ],
+    ids=["unlucky_prime", "all_multiples", "all_multiples_square", "large_answer",
+         "multiple_entries_wide", "multiple_entries_square", "shared_factor"],
+)
+def test_modular_route_around_the_prime(routes, int_rows, outcome):
+    assert_same(q_rows(int_rows), None)
+    assert routes[outcome] == 1 and sum(routes.values()) == 1
+
+
+def test_word_sized_rows_stay_on_bareiss(routes):
+    rng = random.Random(62)
+    edge = 2**62 - 1
+    for _ in range(4):
+        for rows in shapes(rng, None, SMALL):
+            assert_same(rows, None)
+        assert_same(q_rows([[edge, 1], [3, -edge]]), None)
+    assert routes == {"accepted": 0, "fell_back": 0}
+    assert_same(q_rows([[edge + 1, 1], [3, 5]]), None)
+    assert routes == {"accepted": 1, "fell_back": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-core._Q_BOUND, core._Q_BOUND), st.integers(1, core._Q_BOUND))
+def test_reconstruct_inverts_reduction_within_the_bound(a, b):
+    x = a * pow(b, -1, P) % P
+    assert core._reconstruct(x, P, core._Q_BOUND) == Fraction(a, b)

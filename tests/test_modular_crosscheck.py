@@ -18,6 +18,10 @@ denominator, so the comparison covers every input.
 
 Every ``solve_many`` witness must reproduce its target by substitution in
 raw Fractions.
+
+The Q engine itself reduces wide rows modulo one prime before it falls back
+to Bareiss; that prime must be neither of the two used here, so that this
+check stays independent of the engine.
 """
 
 import random
@@ -27,9 +31,14 @@ from math import lcm
 import pytest
 
 from exactspan import GF, QQ, matrix, reduced_form, sequence, vector
+from exactspan import core
 from exactspan.core import solve_many
 
 PRIMES = (2**31 - 1, 65521)
+
+
+def test_primes_differ_from_the_engine_prime():
+    assert core._Q_PRIME not in PRIMES
 
 
 def fraction_det(rows):

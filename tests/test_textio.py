@@ -1,10 +1,15 @@
+import re
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactspan import GF, QQ, sequence, vector
 from exactspan.textio import (
     FormatError,
     parse_certificate_text,
     parse_matrix_text,
+    render_field,
     render_sequence,
 )
 
@@ -99,3 +104,139 @@ def test_signed_ascii_header_integers_still_parse():
         parse_matrix_text("field q\ndims -1 2\n")
     with pytest.raises(FormatError, match="modulus"):
         parse_matrix_text("field gf -3\ndims 0 1\n")
+
+
+# -- separators: lines end at "\n" (optionally "\r\n"), tokens are separated
+# by ASCII spaces and tabs only
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("field gf 2\x1cdims 1 2\x1c1 0", 1),
+        ("field gf 2\x85dims 1 2\n1 0\n", 1),
+        ("field gf 2\ndims 1 2\n1\u2028" "0\n", 3),
+        ("field gf 2\ndims 1 2\n1\xa00\n", 3),
+        ("field gf 2\ndims\xa01 2\n1 0\n", 2),
+        ("field gf 2\ndims 1 2\n1\u3000" "0\n", 3),
+        ("field gf 2\ndims 1 2\n1 0\x0b\n", 3),
+        ("field gf 2\ndims 1 2\n1 0\r\r\n", 3),
+        ("field gf 2\rdims 1 2\r1 0\r", 1),
+    ],
+    ids=["file_separator", "next_line", "line_separator", "nbsp", "nbsp_header",
+         "ideographic_space", "vertical_tab", "double_cr", "bare_cr"],
+)
+def test_other_separators_are_rejected_with_line_number(text, lineno):
+    with pytest.raises(FormatError, match=f"^line {lineno}: separator "):
+        parse_matrix_text(text)
+
+
+def test_other_separator_in_certificate_is_rejected():
+    text = "certificate\nfield gf 2\nambient\xa00\nlength 0\ne\nf\nC\nend\n"
+    with pytest.raises(FormatError, match="^line 3: separator"):
+        parse_certificate_text(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field gf 3\r\ndims 1 2\r\n1 2\r\n",
+        "field gf 3\ndims\t1 2\n1\t \t2\n",
+        " \tfield gf 3 \ndims 1 2\t\n\t1 2 # comment with a\xa0no-break space\n",
+    ],
+    ids=["crlf", "tabs", "padding_and_comment"],
+)
+def test_crlf_tabs_and_comments_still_parse(text):
+    assert parse_matrix_text(text) == sequence(GF(3), [[1, 2]])
+
+
+def test_over_long_header_integer_is_a_format_error():
+    with pytest.raises(FormatError, match="^line 2: "):
+        parse_matrix_text("field q\ndims 1 " + "9" * 5000 + "\n1\n")
+
+
+def test_dependent_certificate_frame_is_a_format_error():
+    text = "certificate\nfield q\nambient 2\nlength 2\ne\n1 0\n2 0\nf\n1 0\n0 1\nC\n1 0\n0 1\nend\n"
+    with pytest.raises(FormatError, match="'e' is linearly dependent"):
+        parse_certificate_text(text)
+
+
+# -- properties --------------------------------------------------------------
+
+_FIELDS = [GF(2), GF(3), GF(5), GF(65521), QQ]
+
+
+@st.composite
+def sequences(draw):
+    """Sequences of 0-5 vectors in F^0-F^5; vectors in F^0 only in an empty
+    sequence, since their rows would be blank lines, which the format skips."""
+    field = draw(st.sampled_from(_FIELDS))
+    n_rows = draw(st.integers(0, 5))
+    n_cols = draw(st.integers(1 if n_rows else 0, 5))
+    if field is QQ:
+        height = draw(st.sampled_from([9, 2**20]))
+        entry = st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
+    else:
+        entry = st.integers(0, field.modulus - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    return sequence(field, rows, ambient_dim=n_cols)
+
+
+@st.composite
+def certificate_texts(draw):
+    """Certificate files with consistent section sizes and small entries;
+    the frames may be dependent and the entries foreign to the field."""
+    field = draw(st.sampled_from(_FIELDS))
+    ambient, length = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    literal = st.sampled_from(["0", "1", "-1", "2", "3", "1/2"])
+
+    def rows(width):
+        return [" ".join(draw(st.lists(literal, min_size=width, max_size=width)))
+                for _ in range(length)]
+
+    lines = ["certificate", render_field(field), f"ambient {ambient}", f"length {length}",
+             "e", *rows(ambient), "f", *rows(ambient), "C", *rows(length), "end"]
+    return "\n".join(lines) + "\n"
+
+
+# Words and separators of the formats, and spellings the parsers must reject
+_WORDS = ["field", "gf", "q", "dims", "certificate", "ambient", "length", "e", "f", "C",
+          "end", "#", "0", "1", "-1", "2", "4", "1/2", "-7/3", "1/0", "x", "65521", "1_0",
+          "\u0661", "-3", "99999999999999999999", "9" * 5000]
+_SEPS = [" ", "  ", "\t", "\n", "\r\n", "\r", "\x1c", "\x85", "\xa0", "\u2028", "\x0b", ""]
+
+
+@st.composite
+def near_format_text(draw):
+    parts = draw(st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPS)), max_size=40))
+    return "".join(w + s for w, s in parts)
+
+
+@st.composite
+def mutated_files(draw):
+    """A matrix or certificate file with up to three of its tokens or
+    separators replaced by a word or separator from the lists above."""
+    text = draw(st.one_of(sequences().map(render_sequence), certificate_texts()))
+    pieces = re.split(r"([ \n])", text)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        pieces[i] = draw(st.sampled_from(_WORDS + _SEPS))
+    return "".join(pieces)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), near_format_text(), mutated_files()))
+def test_parsers_raise_only_format_error(text):
+    for parse in (parse_matrix_text, parse_certificate_text):
+        try:
+            parse(text)
+        except FormatError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences())
+def test_render_parse_round_trip_property(seq):
+    text = render_sequence(seq)
+    assert parse_matrix_text(text) == seq
+    assert render_sequence(parse_matrix_text(text)) == text
