@@ -55,8 +55,8 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 
 
-def _fmt_row(scalars) -> str:
-    return " ".join(str(s) for s in scalars)
+def _fmt_row(row) -> str:
+    return " ".join(map(str, row))
 
 
 def _load_frame(path: str, what: str) -> Frame:
@@ -96,7 +96,7 @@ def _cmd_basis(args) -> int:
     fr = basis_from_generators(seq)
     print(f"length {len(fr)}")
     for v in fr:
-        print(_fmt_row(v.entries))
+        print(_fmt_row(v.values))
     return EXIT_OK
 
 
@@ -114,7 +114,7 @@ def _cmd_extend(args) -> int:
     except MaximalFrameError:
         print("maximal")
         return EXIT_NEGATIVE
-    print("extension " + _fmt_row(v.entries))
+    print("extension " + _fmt_row(v.values))
     return EXIT_OK
 
 
@@ -136,9 +136,10 @@ def _cmd_change_basis(args) -> int:
 def _emit_certificate(path: Optional[str], cert) -> None:
     """Write the certificate before anything reaches stdout, so a failed
     write (an OSError, exit 2) never follows a printed answer.  The text goes
-    to a temporary file next to the target, which then replaces the target
-    in one step: a failure leaves any earlier certificate intact and removes
-    the temporary file."""
+    to a temporary file next to the target, which is flushed to disk and then
+    replaces the target in one step: a failure, or a power loss, leaves
+    either the earlier certificate or the complete new one, and a failure
+    removes the temporary file."""
     if not path:
         return
     text = render_certificate(cert)
@@ -148,6 +149,8 @@ def _emit_certificate(path: Optional[str], cert) -> None:
     try:
         with fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -196,7 +199,7 @@ def _cmd_steinitz(args) -> int:
     print(" ".join(["picked"] + [str(i) for i in picked]))
     print(f"r {r}")
     for v in extended:
-        print(_fmt_row(v.entries))
+        print(_fmt_row(v.values))
     return EXIT_OK
 
 

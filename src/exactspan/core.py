@@ -3,21 +3,20 @@ elimination engine (reduced echelon form, span solving, kernels).
 
 A :class:`VecSequence` used as a matrix contributes its vectors as
 *columns*; a :class:`Subspace` (see :mod:`exactspan.spans`) stores its
-canonical basis as echelon *rows*.  A :class:`Vector` holds
-:class:`~exactspan.field.Scalar` entries.  A :class:`Matrix` holds one
-interned field and rows of raw canonical values (ints in [0, p), or
-Fractions in lowest terms), the representation the elimination kernels
-work on, so nothing is boxed into or out of an elimination; scalars are
-made only by the accessors (``entries``, ``m[(i, j)]``, ``column``) and
-for the coefficients ``solve_many`` returns.  There is one kernel per kind
-of field: bit-packed rows eliminated by XOR over GF(2),
-Gauss-Jordan on the row suffixes from the pivot column on over GF(p), and
-over the rationals, once rows are cleared of denominators, a certified
-modular route when an entry is wider than a machine word (one elimination
-modulo a 127-bit prime, rational reconstruction, acceptance only after an
-exact substitution check) and otherwise, or when that check fails, a
-fraction-free Bareiss forward pass followed by back-substitution in
-integers.
+canonical basis as echelon *rows*.  A :class:`Vector`, like a row of a
+:class:`Matrix`, holds raw canonical values of one interned field (ints in
+[0, p), or Fractions in lowest terms); the kernels and vector arithmetic
+work on them, and :func:`vector`, :func:`sequence` and :func:`matrix`
+canonicalise their input into them.  Scalars are made only by the
+accessors (``entries``, ``m[(i, j)]``) and for the coefficients
+``solve_many`` returns.  There is one kernel per kind of field: bit-packed
+rows eliminated by XOR over GF(2), Gauss-Jordan on the row suffixes from
+the pivot column on over GF(p), and over the rationals, once rows are
+cleared of denominators, a certified modular route when an entry is wider
+than a machine word (one elimination modulo a 127-bit prime, rational
+reconstruction, acceptance only after an exact substitution check) and
+otherwise, or when that check fails, a fraction-free Bareiss forward pass
+followed by back-substitution in integers.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import Field, FieldMismatchError, Scalar
@@ -34,41 +33,47 @@ from .field import Field, FieldMismatchError, Scalar
 
 @dataclass(frozen=True)
 class Vector:
-    field: Field
-    entries: Tuple[Scalar, ...]
+    """Raw canonical values of ``field``; build one with :func:`vector`,
+    which canonicalises each entry."""
 
-    def __post_init__(self) -> None:
-        for s in self.entries:
-            if s.field is not self.field:
-                raise FieldMismatchError("vector entry from a different field")
+    field: Field
+    values: Tuple[Union[int, Fraction], ...]
+
+    @property
+    def entries(self) -> Tuple[Scalar, ...]:
+        field = self.field
+        return tuple(Scalar(field, x) for x in self.values)
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.values)
 
     def __add__(self, other: "Vector") -> "Vector":
         if other.field is not self.field or other.ambient_dim != self.ambient_dim:
             raise FieldMismatchError("vector field/dimension mismatch")
-        return Vector(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        p = self.field.modulus
+        sums = map(add, self.values, other.values)
+        return Vector(self.field, tuple(sums) if p is None else tuple(x % p for x in sums))
 
-    def scale(self, c: Scalar) -> "Vector":
-        return Vector(self.field, tuple(c * e for e in self.entries))
+    def scale(self, c: Union[Scalar, int, Fraction]) -> "Vector":
+        x, p = self.field.canon(c), self.field.modulus
+        prods = (x * y for y in self.values)
+        return Vector(self.field, tuple(prods) if p is None else tuple(z % p for z in prods))
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+        return "(" + ", ".join(map(str, self.values)) + ")"
 
 
 def vector(field: Field, entries: Iterable) -> Vector:
-    """Build a vector, coercing ints / strings / Fractions entrywise."""
-    canon = field.canon
-    return Vector(field, tuple(Scalar(field, canon(e)) for e in entries))
+    """Build a vector, coercing ints / strings / Fractions / Scalars entrywise."""
+    return Vector(field, tuple(map(field.canon, entries)))
 
 
 def zero_vector(field: Field, dim: int) -> Vector:
-    return Vector(field, (field.zero,) * dim)
+    return Vector(field, (field.canon(0),) * dim)
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,7 @@ class Matrix:
         return Scalar(self.field, self.values[i][j])
 
     def column(self, j: int) -> Vector:
-        field = self.field
-        return Vector(field, tuple(Scalar(field, row[j]) for row in self.values))
+        return Vector(self.field, tuple(row[j] for row in self.values))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -162,13 +166,12 @@ def identity(field: Field, n: int) -> Matrix:
 def matrix_from_columns(seq: VecSequence) -> Matrix:
     """Sequence-as-columns convention: vector j becomes column j."""
     m, n = seq.ambient_dim, len(seq)
-    cols = [tuple(s.value for s in v.entries) for v in seq]
+    cols = [v.values for v in seq]
     return Matrix(seq.field, m, n, tuple(zip(*cols)) if n else ((),) * m)
 
 
 def matrix_from_rows(seq: VecSequence) -> Matrix:
-    values = tuple(tuple(s.value for s in v.entries) for v in seq)
-    return Matrix(seq.field, len(seq), seq.ambient_dim, values)
+    return Matrix(seq.field, len(seq), seq.ambient_dim, tuple(v.values for v in seq))
 
 
 def mat_product(a: Matrix, b: Matrix) -> Matrix:
@@ -184,16 +187,18 @@ def mat_product(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.rows, b.cols, values)
 
 
-def lin_comb(seq: VecSequence, coeffs: Sequence[Scalar]) -> Vector:
-    """Return sum of coeffs[j] * seq[j]; the empty combination is zero."""
+def lin_comb(seq: VecSequence, coeffs: Sequence) -> Vector:
+    """Return sum of coeffs[j] * seq[j]; the empty combination is zero.  The
+    coefficients are coerced like the entries of :func:`vector`."""
     if len(coeffs) != len(seq):
         raise ValueError(f"{len(coeffs)} coefficients for a sequence of length {len(seq)}")
-    acc = zero_vector(seq.field, seq.ambient_dim)
+    field, p = seq.field, seq.field.modulus
+    acc = [field.canon(0)] * seq.ambient_dim
     for c, v in zip(coeffs, seq):
-        if c.field is not seq.field:
-            raise FieldMismatchError("coefficient field mismatch")
-        acc = acc + v.scale(c)
-    return acc
+        x = field.canon(c)
+        if x:
+            acc = [a + x * y for a, y in zip(acc, v.values)]
+    return Vector(field, tuple(acc) if p is None else tuple(a % p for a in acc))
 
 
 # -- elimination kernels on raw canonical values -----------------------------
@@ -473,27 +478,15 @@ def kernel_basis(m: Matrix) -> VecSequence:
     pivots = red.pivots
     field = m.field
     canon = field.canon
-    zero, one = field.zero, field.one
+    zero, one = canon(0), canon(1)
     pivot_set = set(pivots)
     vecs = []
     for f in range(m.cols):
         if f in pivot_set:
             continue
-        entries = [zero] * m.cols
-        entries[f] = one
+        values = [zero] * m.cols
+        values[f] = one
         for row_idx, c in enumerate(pivots):
-            entries[c] = Scalar(field, canon(-rows[row_idx][f]))
-        vecs.append(Vector(field, tuple(entries)))
+            values[c] = canon(-rows[row_idx][f])
+        vecs.append(Vector(field, tuple(values)))
     return VecSequence(field, m.cols, tuple(vecs))
-
-
-def apply_matrix(m: Matrix, x: Vector) -> Vector:
-    if m.cols != x.ambient_dim:
-        raise ValueError("dimension mismatch")
-    return Vector(
-        m.field,
-        tuple(
-            sum((m[(i, j)] * x.entries[j] for j in range(m.cols)), m.field.zero)
-            for i in range(m.rows)
-        ),
-    )

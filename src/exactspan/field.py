@@ -87,7 +87,7 @@ class Field:
                 raise FieldMismatchError(f"scalar from {value.field} used in {self}")
             return value.value
         if isinstance(value, str):
-            return self.parse(value).value
+            return self.parse_value(value)
         if p is None:
             return Fraction(value)
         if isinstance(value, Fraction):
@@ -103,19 +103,22 @@ class Field:
         return Scalar(self, self.canon(value))
 
     def parse(self, text: str) -> "Scalar":
-        """Parse a canonical-syntax literal: an ASCII signed integer, or over
-        the rationals also ``a/b`` with an ASCII unsigned denominator."""
+        return Scalar(self, self.parse_value(text))
+
+    def parse_value(self, text: str) -> Union[int, Fraction]:
+        """The raw canonical value of a literal: an ASCII signed integer, or
+        over the rationals also ``a/b`` with an ASCII unsigned denominator."""
         lit = _LITERAL.fullmatch(text)
         if lit is None:
             raise ScalarParseError(f"malformed scalar literal {text!r}")
         num, den = lit.group(1, 2)
         if den is None:
-            return Scalar(self, self.canon(int(num)))
+            return self.canon(int(num))
         if self.modulus is not None:
             raise ScalarParseError(f"fraction syntax {text!r} not allowed in GF({self.modulus})")
         if int(den) == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
-        return Scalar(self, Fraction(int(num), int(den)))
+        return Fraction(int(num), int(den))
 
     @property
     def zero(self) -> "Scalar":

@@ -24,6 +24,7 @@ from .core import (
     matrix_from_columns,
     reduced_form,
     solve_many,
+    vector,
     zero_vector,
 )
 from .field import Field
@@ -98,14 +99,14 @@ def restricted_kernel_witness(lmap: LinearMap, sub: Subspace) -> Optional[Vector
         return None
     # domain coordinates of each basis vector; the map is linear, so these
     # also give the images and the witness's own domain coordinates
-    dom_coords = VecSequence(lmap.field, len(dom), tuple(Vector(lmap.field, c) for c in sols))
+    dom_coords = VecSequence(lmap.field, len(dom), tuple(vector(lmap.field, c) for c in sols))
     images = tuple(lin_comb(lmap.images, c) for c in sols)
     ker = kernel_basis(matrix_from_columns(VecSequence(lmap.field, lmap.images.ambient_dim, images)))
     if len(ker) == 0:
         return None
-    witness = lin_comb(basis, ker[0].entries)
-    lead = next(c for c in lin_comb(dom_coords, ker[0].entries).entries if c)
-    return witness.scale(lead.inverse())
+    witness = lin_comb(basis, ker[0].values)
+    lead = next(x for x in lin_comb(dom_coords, ker[0].values).values if x)
+    return witness.scale(lmap.field.scalar(lead).inverse())
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,12 @@ def check_certificate(cert: InclusionCertificate) -> bool:
     try:
         e, f, c = cert.e, cert.f, cert.coefficient_matrix
         n = len(e)
-        if len(f) != n or c.rows != n or c.cols != n:
+        if len(f) != n or c.rows != n or c.cols != n or c.field is not f.field:
             return False
         for i in range(n):
             acc = zero_vector(e.field, e.ambient_dim)
-            for j in range(n):
-                acc = acc + f[j].scale(c[(j, i)])
+            for fj, row in zip(f, c.values):
+                acc = acc + fj.scale(row[i])
             if acc != e[i]:
                 return False
         return True
@@ -201,8 +202,8 @@ def _level_witnesses(
     x_cols = solve_many(ek.seq, tuple(basis))
     if any(c is None for c in x_cols):
         raise NotAFrameError(_NO_WITNESS)
-    x = VecSequence(field, k, tuple(Vector(field, c) for c in x_cols))
-    units = tuple(Vector(field, row) for row in identity(field, k).entries)
+    x = VecSequence(field, k, tuple(vector(field, c) for c in x_cols))
+    units = tuple(Vector(field, row) for row in identity(field, k).values)
     x_inv_cols = solve_many(x, units)
     if any(y is None for y in x_inv_cols):
         raise NotAFrameError(_NO_WITNESS)
@@ -210,11 +211,11 @@ def _level_witnesses(
     witnesses: List[Vector] = []
     for lmap, y in zip(maps, x_inv_cols):
         witness = lin_comb(basis, y)
-        coords = lin_comb(x, y).entries
+        coords = lin_comb(x, y).values
         if witness.is_zero() or not lin_comb(lmap.images, coords).is_zero():
             raise NotAFrameError(_NO_WITNESS)
         lead = next(c for c in coords if c)
-        witnesses.append(witness.scale(lead.inverse()))
+        witnesses.append(witness.scale(field.scalar(lead).inverse()))
     return maps, tuple(witnesses)
 
 

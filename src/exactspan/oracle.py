@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Tuple
 
-from .core import VecSequence, Vector, zero_vector
+from .core import VecSequence, Vector, vector, zero_vector
 from .field import Field, Scalar
 from .spans import Frame, Subspace
 
@@ -56,7 +56,7 @@ def _combine(seq: VecSequence, coeffs: Tuple[Scalar, ...]) -> Vector:
     for c, v in zip(coeffs, seq):
         if c:
             entries = [a + c * b for a, b in zip(entries, v.entries)]
-    return Vector(seq.field, tuple(entries))
+    return vector(seq.field, entries)
 
 
 def _coeff_tuples(field: Field, n: int) -> Iterator[Tuple[Scalar, ...]]:

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .core import Matrix, VecSequence, Vector, lin_comb, matrix, rank_matrix
+from .core import Matrix, VecSequence, Vector, lin_comb, matrix, rank_matrix, vector
 from .field import Field, Scalar
 from .spans import Frame, is_frame
 
@@ -23,7 +23,7 @@ def random_scalar(field: Field, rng: random.Random, nonzero: bool = False) -> Sc
 
 
 def random_vector(field: Field, dim: int, rng: random.Random) -> Vector:
-    return Vector(field, tuple(random_scalar(field, rng) for _ in range(dim)))
+    return vector(field, (random_scalar(field, rng) for _ in range(dim)))
 
 
 def random_sequence(field: Field, dim: int, length: int, rng: random.Random) -> VecSequence:
@@ -57,5 +57,5 @@ def random_frame_pair(
     lies in the span of e by construction."""
     e = random_frame(field, dim, length, rng)
     a = random_invertible_matrix(field, length, rng)
-    f_items = tuple(lin_comb(e.seq, a.column(j).entries) for j in range(length))
+    f_items = tuple(lin_comb(e.seq, a.column(j).values) for j in range(length))
     return e, Frame(VecSequence(field, dim, f_items))

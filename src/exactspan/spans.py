@@ -108,10 +108,8 @@ def span_of(seq: VecSequence) -> Subspace:
     """The minimal subspace containing every item of ``seq``."""
     field = seq.field
     red = reduced_form(matrix_from_rows(seq))
-    rows = red.matrix.values[: red.rank]
-    vecs = tuple(Vector(field, tuple(Scalar(field, x) for x in row)) for row in rows)
-    basis = VecSequence(field, seq.ambient_dim, vecs)
-    return Subspace(field, seq.ambient_dim, basis)
+    vecs = tuple(Vector(field, row) for row in red.matrix.values[: red.rank])
+    return Subspace(field, seq.ambient_dim, VecSequence(field, seq.ambient_dim, vecs))
 
 
 def member(sub: Subspace, x: Vector) -> Optional[Coordinates]:

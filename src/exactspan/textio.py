@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .core import Matrix, VecSequence, matrix, sequence
+from .core import Matrix, VecSequence, Vector
 from .field import Field, GF, QQ
 from .lemma import InclusionCertificate, ProofTrace
 from .spans import Frame, NotAFrameError
@@ -100,12 +100,12 @@ def _parse_field_line(lineno: int, line: str) -> Field:
     raise FormatError(f"line {lineno}: expected 'field gf <p>' or 'field q', got {line!r}")
 
 
-def _parse_row(field: Field, lineno: int, line: str, width: int):
+def _parse_row(field: Field, lineno: int, line: str, width: int) -> tuple:
     toks = line.split()
     if len(toks) != width:
         raise FormatError(f"line {lineno}: expected {width} entries, got {len(toks)}")
     try:
-        return [field.parse(t) for t in toks]
+        return tuple(map(field.parse_value, toks))
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {exc}") from None
 
@@ -123,9 +123,14 @@ def parse_matrix_text(text: str) -> VecSequence:
     if rows < 0 or cols < 0:
         raise FormatError(f"line {lineno}: negative dimensions")
     data = lines[2:]
+    if cols == 0 and not data and rows <= len(text):
+        # rows of F^0 are blank lines, which are skipped, so the dims line
+        # alone gives them; a file holds at most one per character
+        data = [(lineno, "")] * rows
     if len(data) != rows:
         raise FormatError(f"dims declare {rows} rows but file has {len(data)} data lines")
-    return sequence(field, [_parse_row(field, ln, line, cols) for ln, line in data], ambient_dim=cols)
+    vecs = tuple(Vector(field, _parse_row(field, ln, line, cols)) for ln, line in data)
+    return VecSequence(field, cols, vecs)
 
 
 def _read(path: str) -> str:
@@ -148,14 +153,12 @@ def render_field(field: Field) -> str:
 
 def render_sequence(seq: VecSequence) -> str:
     lines = [render_field(seq.field), f"dims {len(seq)} {seq.ambient_dim}"]
-    lines += [" ".join(str(e) for e in v.entries) for v in seq]
+    lines += _rows(v.values for v in seq)
     return "\n".join(lines) + "\n"
 
 
-def _rows(m_or_seq) -> List[str]:
-    if isinstance(m_or_seq, Matrix):
-        return [" ".join(str(x) for x in row) for row in m_or_seq.values]
-    return [" ".join(str(s) for s in v.entries) for v in m_or_seq]
+def _rows(rows) -> List[str]:
+    return [" ".join(map(str, row)) for row in rows]
 
 
 def render_certificate(cert: InclusionCertificate) -> str:
@@ -165,11 +168,11 @@ def render_certificate(cert: InclusionCertificate) -> str:
         f"ambient {cert.e.ambient_dim}",
         f"length {len(cert.e)}",
         "e",
-        *_rows(cert.e.seq),
+        *_rows(v.values for v in cert.e),
         "f",
-        *_rows(cert.f.seq),
+        *_rows(v.values for v in cert.f),
         "C",
-        *_rows(cert.coefficient_matrix),
+        *_rows(cert.coefficient_matrix.values),
         "end",
     ]
     return "\n".join(lines) + "\n"
@@ -200,7 +203,7 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
         raise FormatError(f"certificate should have {expected} logical lines, found {len(lines)}")
     pos = 4
 
-    def section(name: str, width: int) -> List[List]:
+    def section(name: str, width: int) -> List[tuple]:
         nonlocal pos
         lineno, line = lines[pos]
         if line != name:
@@ -213,9 +216,9 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
             pos += 1
         return rows
 
-    def frame(name: str, rows: List[List]) -> Frame:
+    def frame(name: str, rows: List[tuple]) -> Frame:
         try:
-            return Frame(sequence(field, rows, ambient_dim=ambient))
+            return Frame(VecSequence(field, ambient, tuple(Vector(field, row) for row in rows)))
         except NotAFrameError:
             raise FormatError(f"certificate section {name!r} is linearly dependent") from None
 
@@ -226,7 +229,7 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
         raise FormatError(f"line {lines[pos][0]}: expected 'end'")
     e = frame("e", e_rows)
     f = frame("f", f_rows)
-    c = matrix(field, c_rows, cols=length)
+    c = Matrix(field, length, length, tuple(c_rows))
     return InclusionCertificate(e, f, c)
 
 
@@ -245,12 +248,11 @@ def render_trace(trace: ProofTrace) -> str:
     for level in trace.levels:
         lines.append(f"level {level.rank}")
         lines.append("e")
-        lines += _rows(level.e.seq)
+        lines += _rows(v.values for v in level.e)
         lines.append("f")
-        lines += _rows(level.f.seq)
-        for w in level.witnesses:
-            lines.append("witness " + " ".join(str(s) for s in w.entries))
+        lines += _rows(v.values for v in level.f)
+        lines += ["witness " + row for row in _rows(w.values for w in level.witnesses)]
         lines.append("C")
-        lines += _rows(level.coefficient_matrix)
+        lines += _rows(level.coefficient_matrix.values)
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,19 @@
+import contextlib
+import io
+import os
 import pathlib
+import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exactspan import GF, QQ, Frame, VecSequence, is_frame, lin_comb, sequence, verify_basic_lemma
 from exactspan.cli import main
 from exactspan.lemma import check_certificate
-from exactspan.textio import parse_certificate_file
+from exactspan.randgen import random_invertible_matrix
+from exactspan.textio import parse_certificate_file, render_certificate, render_sequence
+from test_textio import certificate_texts, mutated_files, near_format_text
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -252,3 +261,132 @@ def test_dependent_certificate_frame_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "oracle-check", "--cert", str(path))
     assert code == 2 and out == ""
     assert "linearly dependent" in err
+
+
+def test_certificate_is_synced_before_it_replaces_the_target(capsys, tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", os.path.getsize(src)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    target = tmp_path / "c.txt"
+    code, _, _ = run(
+        capsys,
+        "verify-lemma", "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"),
+        "--emit-cert", str(target),
+    )
+    size = target.stat().st_size
+    assert code == 0 and size > 0
+    assert events == [("fsync", size), ("replace", size)]
+
+
+def test_vectors_of_f0_exit_0(capsys, tmp_path):
+    path = tmp_path / "seq.mat"
+    path.write_text("field gf 3\ndims 2 0\n\n\n", encoding="utf-8")
+    assert run(capsys, "rank", "-s", str(path))[:2] == (0, "rank 0\n")
+    assert run(capsys, "basis", "-s", str(path))[:2] == (0, "length 0\n")
+    vec = tmp_path / "x.mat"
+    vec.write_text("field gf 3\ndims 1 0\n", encoding="utf-8")
+    assert run(capsys, "member", "-s", str(path), "-x", str(vec))[:2] == (0, "coefficients 0 0\n")
+
+
+# -- cli.main over generated files -------------------------------------------
+
+# Each subcommand's arguments; M0/M1 are matrix files, CERT a certificate
+# file and OUT a certificate target.
+_ARGV = {
+    "rank": ["-s", "M0"],
+    "member": ["-s", "M0", "-x", "M1"],
+    "basis": ["-s", "M0"],
+    "dim": ["-s", "M0"],
+    "extend": ["-f", "M0", "-s", "M1"],
+    "change-basis": ["-e", "M0", "-f", "M1"],
+    "verify-lemma": ["-e", "M0", "-f", "M1", "--emit-cert", "OUT"],
+    "trace": ["-e", "M0", "-f", "M1", "--emit-cert", "OUT"],
+    "steinitz": ["-b", "M0", "-k", "M1"],
+    "oracle-check": ["--cert", "CERT"],
+}
+
+
+@st.composite
+def small_sequences(draw, field, dim, min_size=0, max_size=4):
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=min_size, max_size=max_size))
+    return sequence(field, rows, ambient_dim=dim)
+
+
+def tampered(cert_text):
+    """The certificate with its first coefficient changed."""
+    lines = cert_text.split("\n")
+    i = lines.index("C") + 1
+    first, _, rest = lines[i].partition(" ")
+    lines[i] = " ".join(["1" if first == "0" else "0"] + ([rest] if rest else []))
+    return "\n".join(lines)
+
+
+@st.composite
+def cli_cases(draw):
+    """A subcommand and its files.  Each file is, three times in four, a
+    valid one over a common field and dimension: random sequences, the unit
+    vectors, a single vector, and, when the first sequence is a frame, its image under a random
+    invertible matrix, with their certificate, intact or tampered.  Otherwise
+    it is a rendered text with tokens replaced, near-format text or
+    arbitrary text."""
+    command = draw(st.sampled_from(sorted(_ARGV) + ["oracle-random"]))
+    if command == "oracle-random":
+        argv = ["oracle-check", "--random", str(draw(st.integers(-1, 3))),
+                "--seed", str(draw(st.integers(0, 99))), "--budget", str(draw(st.integers(0, 7)))]
+        return argv, {}
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
+    dim = draw(st.integers(0, 3))
+    e = draw(small_sequences(field, dim))
+    units = sequence(field, [[int(i == j) for j in range(dim)] for i in range(dim)], ambient_dim=dim)
+    pool = [e, units, draw(small_sequences(field, dim)), draw(small_sequences(field, dim, 1, 1))]
+    certs = [draw(certificate_texts())]
+    if len(e) and is_frame(e):
+        a = random_invertible_matrix(field, len(e), random.Random(draw(st.integers(0, 99))))
+        f = VecSequence(field, dim, tuple(lin_comb(e, a.column(j).values) for j in range(len(e))))
+        cert = render_certificate(verify_basic_lemma(Frame(e), Frame(f)))
+        pool.append(f)
+        certs += [cert, tampered(cert)]
+    broken = st.one_of(mutated_files(), near_format_text(), st.text(max_size=40))
+
+    def file(valid):
+        return draw(st.sampled_from(valid) if draw(st.integers(0, 3)) else broken)
+
+    texts = [render_sequence(s) for s in pool]
+    files = {"M0": file(texts), "M1": file(texts), "CERT": file(certs)}
+    return [command] + _ARGV[command], files
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_cases())
+def test_main_is_total_and_deterministic_on_generated_files(case):
+    template, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"OUT": os.path.join(tmp, "out.cert")}
+        for slot, text in files.items():
+            paths[slot] = os.path.join(tmp, slot)
+            with open(paths[slot], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        argv = [paths.get(a, a) for a in template]
+        code, out = run_main(argv)
+        assert code in (0, 1, 2)
+        assert run_main(argv) == (code, out)
+        if code == 0 and "OUT" in template:
+            assert check_certificate(parse_certificate_file(paths["OUT"]))

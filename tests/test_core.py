@@ -17,10 +17,19 @@ from exactspan import (
     vector,
     zero_vector,
 )
-from exactspan.core import apply_matrix, matrix_from_rows
+from exactspan.core import matrix_from_rows
 from exactspan.randgen import random_sequence, random_vector
 
 GF2 = GF(2)
+
+
+def apply_matrix(m, x):
+    """Brute-force reference for m x: one Scalar dot product per row."""
+    if m.cols != x.ambient_dim:
+        raise ValueError("dimension mismatch")
+    xs = x.entries
+    return vector(m.field, [sum((m[(i, j)] * xs[j] for j in range(m.cols)), m.field.zero)
+                            for i in range(m.rows)])
 
 
 def all_gf2_vectors(m):

@@ -7,7 +7,8 @@ counting starts: building a ``Frame`` checks independence with one
 elimination of its own.
 
 The engine works on raw canonical values, so it makes no ``Field.scalar``
-call on inputs that are already built; a second counter wraps that method.
+call on inputs that are already built; a second counter wraps that method,
+and a third counts every ``Scalar`` constructed.
 """
 
 import random
@@ -18,6 +19,7 @@ from exactspan import (
     GF,
     QQ,
     Field,
+    Scalar,
     VecSequence,
     basis_from_generators,
     change_of_basis,
@@ -27,8 +29,9 @@ from exactspan import (
     verify_basic_lemma,
 )
 from exactspan import core, lemma, spans
-from exactspan.core import kernel_basis, matrix_from_columns, reduced_form, solve_many
+from exactspan.core import kernel_basis, matrix_from_columns, matrix_from_rows, reduced_form, solve_many
 from exactspan.randgen import random_frame, random_frame_pair, random_sequence, random_vector
+from exactspan.textio import parse_matrix_text, render_sequence
 
 FIELDS = (GF(2), GF(3), GF(5), QQ)
 
@@ -131,7 +134,27 @@ def scalar_calls(monkeypatch):
     return count
 
 
-def test_engine_makes_no_field_scalar_calls(scalar_calls):
+@pytest.fixture
+def scalars_made(monkeypatch):
+    """Run a call and return how many ``Scalar`` objects it constructed."""
+    made = []
+    original = Scalar.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+
+    def count(fn, *args):
+        made.clear()
+        fn(*args)
+        return len(made)
+
+    return count
+
+
+def test_engine_makes_no_field_scalar_calls(scalar_calls, scalars_made):
     rng = random.Random(7)
     for field in FIELDS + (GF(65521),):
         for _ in range(8):
@@ -139,7 +162,13 @@ def test_engine_makes_no_field_scalar_calls(scalar_calls):
             seq = random_sequence(field, m, rng.randint(0, 8), rng)
             targets = tuple(random_vector(field, m, rng) for _ in range(3)) + tuple(seq)[:2]
             columns = matrix_from_columns(seq)
+            text = render_sequence(seq)
             assert scalar_calls(reduced_form, columns) == 0
             assert scalar_calls(solve_many, seq, targets) == 0
             assert scalar_calls(kernel_basis, columns) == 0
             assert scalar_calls(span_of, seq) == 0
+            assert scalars_made(span_of, seq) == 0
+            assert scalars_made(kernel_basis, columns) == 0
+            assert scalars_made(matrix_from_rows, seq) == 0
+            assert scalars_made(matrix_from_columns, seq) == 0
+            assert scalars_made(parse_matrix_text, text) == 0

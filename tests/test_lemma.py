@@ -163,6 +163,11 @@ def test_check_certificate_identity():
     assert check_certificate(InclusionCertificate(e, e, identity(GF5, 2)))
 
 
+def test_check_certificate_rejects_coefficients_from_another_field():
+    e = frame(GF5, [[1, 2], [0, 3]])
+    assert not check_certificate(InclusionCertificate(e, e, identity(GF(3), 2)))
+
+
 def test_check_certificate_malformed_shapes():
     e = frame(QQ, [[1, 0], [0, 1]])
     assert not check_certificate(InclusionCertificate(e, e, identity(QQ, 3)))

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactspan import GF, QQ, FieldMismatchError, Vector, identity, mat_product, matrix, reduced_form
+from exactspan import GF, QQ, FieldMismatchError, identity, mat_product, matrix, reduced_form, vector
 from exactspan.core import Matrix
 
 from test_kernels import BIG, FIELD_KEYS, SMALL, rand_rows, reference
@@ -77,7 +77,7 @@ def assert_accessors(field, rows, n_cols, rng):
             got = m[(i, j)]
             assert got == s and type(got.value) is type(s.value)
     for j in range(n_cols):
-        assert m.column(j) == Vector(field, tuple(row[j] for row in want))
+        assert m.column(j) == vector(field, [row[j] for row in want])
     one_zero = (field.one, field.zero)
     assert m.is_identity() == (len(rows) == n_cols and all(
         s == one_zero[i != j] for i, row in enumerate(want) for j, s in enumerate(row)))

@@ -160,6 +160,34 @@ def test_dependent_certificate_frame_is_a_format_error():
         parse_certificate_text(text)
 
 
+@pytest.mark.parametrize("text", ["field gf 2\ndims 2 0\n", "field gf 2\ndims 2 0\n\n\n",
+                                  "field gf 2\ndims 2 0  # two vectors of F^0\n# none\n"])
+def test_vectors_of_f0_come_from_the_dims_line(text):
+    assert parse_matrix_text(text) == sequence(GF(2), [[], []])
+
+
+def test_sequence_in_f0_round_trips():
+    seq = sequence(QQ, [[], [], []])
+    assert render_sequence(seq) == "field q\ndims 3 0\n\n\n\n"
+    assert parse_matrix_text(render_sequence(seq)) == seq
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("field gf 2\ndims 2 0\n1\n0\n", "line 3: expected 0 entries, got 1"),
+        ("field gf 2\ndims 1 0\n0 0\n", "line 3: expected 0 entries, got 2"),
+        ("field gf 2\ndims 2 0\n1\n", "2 rows but file has 1"),
+        ("field gf 2\ndims 99999999999 0\n", "99999999999 rows but file has 0"),
+    ],
+    ids=["tokens", "two_tokens", "count", "beyond_file_size"],
+)
+def test_f0_rows_with_tokens_or_beyond_the_file_are_rejected(text, fragment):
+    with pytest.raises(FormatError) as exc:
+        parse_matrix_text(text)
+    assert fragment in str(exc.value)
+
+
 # -- properties --------------------------------------------------------------
 
 _FIELDS = [GF(2), GF(3), GF(5), GF(65521), QQ]
@@ -167,11 +195,10 @@ _FIELDS = [GF(2), GF(3), GF(5), GF(65521), QQ]
 
 @st.composite
 def sequences(draw):
-    """Sequences of 0-5 vectors in F^0-F^5; vectors in F^0 only in an empty
-    sequence, since their rows would be blank lines, which the format skips."""
+    """Sequences of 0-5 vectors in F^0-F^5."""
     field = draw(st.sampled_from(_FIELDS))
     n_rows = draw(st.integers(0, 5))
-    n_cols = draw(st.integers(1 if n_rows else 0, 5))
+    n_cols = draw(st.integers(0, 5))
     if field is QQ:
         height = draw(st.sampled_from([9, 2**20]))
         entry = st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
