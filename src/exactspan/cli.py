@@ -14,10 +14,10 @@ import contextlib
 import os
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
-from .core import solve_in_span
+from .core import VecSequence, solve_in_span
 from .field import GF
 from .lemma import (
     check_certificate,
@@ -59,12 +59,30 @@ def _fmt_row(row) -> str:
     return " ".join(map(str, row))
 
 
-def _load_frame(path: str, what: str) -> Frame:
-    seq = parse_matrix_file(path)
+def _as_frame(seq, path: str, what: str) -> Frame:
     try:
         return Frame(seq)
     except NotAFrameError:
         raise NotAFrameError(f"{what} ({path}) is not linearly independent") from None
+
+
+def _load_pair(path_a: str, what_a: str, path_b: str, what_b: str) -> Tuple[VecSequence, VecSequence]:
+    """Two sequences in one space.  Files over different fields or ambient
+    dimensions are bad input (exit 2), not a negative answer."""
+    a, b = parse_matrix_file(path_a), parse_matrix_file(path_b)
+    if a.field is not b.field:
+        raise FormatError(f"{what_a} ({path_a}) is over {a.field!r} but {what_b} ({path_b}) over {b.field!r}")
+    if a.ambient_dim != b.ambient_dim:
+        raise FormatError(
+            f"{what_a} ({path_a}) has vectors of length {a.ambient_dim} "
+            f"but {what_b} ({path_b}) of length {b.ambient_dim}"
+        )
+    return a, b
+
+
+def _load_frame_pair(path_a: str, what_a: str, path_b: str, what_b: str) -> Tuple[Frame, Frame]:
+    a, b = _load_pair(path_a, what_a, path_b, what_b)
+    return _as_frame(a, path_a, what_a), _as_frame(b, path_b, what_b)
 
 
 def _single_vector(path: str):
@@ -107,8 +125,9 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    fr = _load_frame(args.frame, "frame")
-    sub = span_of(parse_matrix_file(args.sequence))
+    frame, seq = _load_pair(args.frame, "frame", args.sequence, "sequence")
+    fr = _as_frame(frame, args.frame, "frame")
+    sub = span_of(seq)
     try:
         v = extend_frame(fr, sub)
     except MaximalFrameError:
@@ -119,8 +138,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_change_basis(args) -> int:
-    e = _load_frame(args.e, "e")
-    f = _load_frame(args.f, "f")
+    e, f = _load_frame_pair(args.e, "e", args.f, "f")
     try:
         a, a_inv = change_of_basis(e, f)
     except (ValueError, NotAFrameError) as exc:
@@ -159,8 +177,7 @@ def _emit_certificate(path: Optional[str], cert) -> None:
 
 
 def _cmd_verify_lemma(args) -> int:
-    e = _load_frame(args.e, "e")
-    f = _load_frame(args.f, "f")
+    e, f = _load_frame_pair(args.e, "e", args.f, "f")
     try:
         cert = verify_basic_lemma(e, f)
     except (ValueError, NotAFrameError) as exc:
@@ -176,8 +193,7 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    e = _load_frame(args.e, "e")
-    f = _load_frame(args.f, "f")
+    e, f = _load_frame_pair(args.e, "e", args.f, "f")
     try:
         trace = trace_induction(e, f)
     except (ValueError, NotAFrameError) as exc:
@@ -189,8 +205,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_steinitz(args) -> int:
-    basis = _load_frame(args.basis, "basis")
-    fr = _load_frame(args.frame, "frame")
+    basis, fr = _load_frame_pair(args.basis, "basis", args.frame, "frame")
     try:
         extended, picked, r = steinitz_extend(basis, fr)
     except (ValueError, NotAFrameError) as exc:

@@ -2,12 +2,12 @@
 elimination engine (reduced echelon form, span solving, kernels).
 
 A :class:`VecSequence` used as a matrix contributes its vectors as
-*columns*; a :class:`Subspace` (see :mod:`exactspan.spans`) stores its
-canonical basis as echelon *rows*.  A :class:`Vector`, like a row of a
-:class:`Matrix`, holds raw canonical values of one interned field (ints in
-[0, p), or Fractions in lowest terms); the kernels and vector arithmetic
-work on them, and :func:`vector`, :func:`sequence` and :func:`matrix`
-canonicalise their input into them.  Scalars are made only by the
+*columns*; a :class:`Subspace` (see :mod:`exactspan.spans`) builds its
+canonical basis as echelon *rows* on first use.  A :class:`Vector`, like a
+row of a :class:`Matrix`, holds raw canonical values of one interned field
+(ints in [0, p), or Fractions in lowest terms); the kernels and vector
+arithmetic work on them, and :func:`vector`, :func:`sequence` and
+:func:`matrix` canonicalise their input into them.  Scalars are made only by the
 accessors (``entries``, ``m[(i, j)]``) and for the coefficients
 ``solve_many`` returns.  There is one kernel per kind of field: bit-packed
 rows eliminated by XOR over GF(2), Gauss-Jordan on the row suffixes from
@@ -16,7 +16,11 @@ cleared of denominators, a certified modular route when an entry is wider
 than a machine word (one elimination modulo a 127-bit prime, rational
 reconstruction, acceptance only after an exact substitution check) and
 otherwise, or when that check fails, a fraction-free Bareiss forward pass
-followed by back-substitution in integers.
+followed by back-substitution in integers.  A rank over Q builds no reduced
+form: on wide rows it is certified from one elimination modulo the same
+prime (the rank mod p as a lower bound, independent relations of the rows,
+rationally reconstructed and checked exactly, as an upper bound), and
+otherwise read off the Bareiss forward pass.
 """
 
 from __future__ import annotations
@@ -335,32 +339,76 @@ def _rref_rational_modular(
     return cand, pivots
 
 
-def _rref_rational(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Q: after clearing each row's denominators, rows with an entry wider
-    than a machine word first try the certified modular route
-    (:func:`_rref_rational_modular`: one elimination mod a 127-bit prime,
-    rational reconstruction, acceptance only by exact substitution; W. Stein,
-    *Modular Forms: A Computational Approach*, §7.3).  Otherwise, or when
-    that route finds no certified answer (an answer too large to
-    reconstruct, or a prime dividing the pivot minor), a fraction-free
-    Bareiss forward pass on the integer rows, then back-substitution in
-    integers.
-
-    The back-substitution computes D·RREF, where D is the last Bareiss pivot
-    (the determinant of the pivot minor, so D·RREF is integral), from the
-    bottom row up with one exact division by each row's own pivot; only the
-    final entries become Fractions."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
+def _clear(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[int], List[List[int]], bool]:
+    """Each rational row a_i times the lcm d_i of its denominators: the
+    denominators d_i, the integer rows m_i = d_i·a_i, and whether an entry
+    of them is wider than a machine word."""
+    dens: List[int] = []
     m: List[List[int]] = []
     for row in rows:
         d = lcm(*(x.denominator for x in row))
+        dens.append(d)
         m.append([x.numerator * (d // x.denominator) for x in row])
-    if max(map(int.bit_length, chain.from_iterable(m)), default=0) > _WORD_BITS:
-        modular = _rref_rational_modular(m, n_cols)
-        if modular is not None:
-            return modular
+    wide = max(map(int.bit_length, chain.from_iterable(m)), default=0) > _WORD_BITS
+    return dens, m, wide
 
+
+def _rank_rational_modular(dens: List[int], m: List[List[int]], n_cols: int) -> Optional[int]:
+    """The rank of rational rows a_i, certified from one elimination mod
+    ``_Q_PRIME``, or None when it cannot be certified (Kaltofen, Nehring and
+    Saunders, *Quadratic-time certificates in linear algebra*, ISSAC 2011).
+    ``m`` holds the cleared rows m_i = d_i·a_i and ``dens`` the d_i.
+
+    Lower bound: r, the rank mod p of the integer rows m_i, read off the RREF
+    R of their transpose, is at most their rank over Q, which is the rank of
+    the a_i.  When r is the smaller side of the matrix, that is the answer.
+
+    Upper bound: a non-pivot column f of R gives the relation x of the m_i mod
+    p with x_f = 1, x_c = -R[k][f] at the k-th pivot c, and 0 elsewhere.  As a
+    relation of the a_i it is y_i = x_i·d_i/d_f, so y_f = 1 and
+    y_c = -R[k][f]·d_c/d_f mod p.  It is the y_c that are rationally
+    reconstructed: a small relation of the a_i is a large one of the m_i
+    when the d_i are large and differ from row to row.  The relation is
+    accepted only if sum_i y_i·a_i = 0 holds exactly, checked in integers.
+    Each relation is 1 at its own non-pivot row and 0 at the others, so the
+    rows - r accepted relations are independent: the left kernel has
+    dimension at least rows - r, and the rank is at most r."""
+    p, bound = _Q_PRIME, _Q_BOUND
+    n_rows = len(m)
+    red, pivots = _rref_mod_p([list(col) for col in zip(*([x % p for x in row] for row in m))], p)
+    r = len(pivots)
+    if r == min(n_rows, n_cols):
+        return r
+    pivot_set = set(pivots)
+    for f in range(n_rows):
+        if f in pivot_set:
+            continue
+        d_f = dens[f] % p
+        if not d_f:
+            return None
+        scale = p - pow(d_f, -1, p)
+        relation = [(f, Fraction(1))]
+        for k, c in enumerate(pivots):
+            x = red[k][f]
+            if x:
+                y = _reconstruct(x * dens[c] % p * scale % p, p, bound)
+                if y is None:
+                    return None
+                relation.append((c, y))
+        # sum_i y_i·a_i = sum_i (y_i / d_i)·m_i, brought to one denominator
+        big_l = lcm(*(y.denominator * dens[i] for i, y in relation))
+        coeffs = [y.numerator * (big_l // (y.denominator * dens[i])) for i, y in relation]
+        support = [m[i] for i, _ in relation]
+        if any(sum(map(mul, coeffs, col)) for col in zip(*support)):
+            return None
+    return r
+
+
+def _bareiss_forward(m: List[List[int]], n_cols: int) -> Tuple[List[int], int]:
+    """Fraction-free Bareiss forward pass on the integer rows ``m``, in
+    place: the pivot columns, and the last pivot, which is the determinant
+    of the pivot minor."""
+    n_rows = len(m)
     pivots: List[int] = []
     prev = 1
     r = 0
@@ -385,11 +433,18 @@ def _rref_rational(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fracti
         r += 1
         if r == n_rows:
             break
+    return pivots, prev
 
+
+def _back_substitute(m: List[List[int]], pivots: List[int], big_d: int, n_cols: int) -> List[List[Fraction]]:
+    """The RREF from the Bareiss rows ``m`` and their last pivot D.
+
+    It computes D·RREF, which is integral, from the bottom row up with one
+    exact division by each row's own pivot; only the final entries become
+    Fractions."""
     rank = len(pivots)
-    big_d = prev
     zero = Fraction(0)
-    out = [[zero] * n_cols for _ in range(n_rows)]
+    out = [[zero] * n_cols for _ in range(len(m))]
     scaled: List[List[int]] = [[]] * rank  # scaled[s]: row s of D·RREF, from column pivots[s] on
     for r in range(rank - 1, -1, -1):
         c = pivots[r]
@@ -403,7 +458,41 @@ def _rref_rational(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fracti
         d = row[c]
         scaled[r] = [x // d for x in acc]
         out[r][c:] = [Fraction(x, big_d) if x else zero for x in scaled[r]]
-    return out, pivots
+    return out
+
+
+def _rref_rational(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Q: after clearing each row's denominators, rows with an entry wider
+    than a machine word first try the certified modular route
+    (:func:`_rref_rational_modular`: one elimination mod a 127-bit prime,
+    rational reconstruction, acceptance only by exact substitution; W. Stein,
+    *Modular Forms: A Computational Approach*, §7.3).  Otherwise, or when
+    that route finds no certified answer (an answer too large to
+    reconstruct, or a prime dividing the pivot minor), a fraction-free
+    Bareiss forward pass on the integer rows, then back-substitution in
+    integers (:func:`_back_substitute`)."""
+    n_cols = len(rows[0]) if rows else 0
+    _, m, wide = _clear(rows)
+    if wide:
+        modular = _rref_rational_modular(m, n_cols)
+        if modular is not None:
+            return modular
+    pivots, big_d = _bareiss_forward(m, n_cols)
+    return _back_substitute(m, pivots, big_d, n_cols), pivots
+
+
+def _rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Q rank: rows with an entry wider than a machine word first try the
+    certified rank route (:func:`_rank_rational_modular`); otherwise, or
+    when it certifies nothing, the rank is read off the Bareiss forward pass,
+    with no back-substitution."""
+    n_cols = len(rows[0]) if rows else 0
+    dens, m, wide = _clear(rows)
+    if wide:
+        r = _rank_rational_modular(dens, m, n_cols)
+        if r is not None:
+            return r
+    return len(_bareiss_forward(m, n_cols)[0])
 
 
 @dataclass(frozen=True)
@@ -429,6 +518,14 @@ def reduced_form(m: Matrix) -> ReducedForm:
 
 
 def rank_matrix(m: Matrix) -> int:
+    """The rank of ``m``.  Over GF(p) it is the rank of the reduced form.
+    Over Q no reduced form is built: the rank is certified from one
+    elimination modulo a prime when the cleared rows are wide (a lower bound
+    mod p, and an upper bound from independent relations of the rows checked
+    exactly; see :func:`_rank_rational_modular`), and otherwise read off the
+    Bareiss forward pass."""
+    if m.field.modulus is None:
+        return _rank_rational(m.values)
     return reduced_form(m).rank
 
 

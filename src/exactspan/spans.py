@@ -1,14 +1,21 @@
 """Spans, frames, maximality, bases, dimension, coordinates and the
 change-of-basis matrix pair.
 
-A subspace is represented by the unique reduced-echelon basis of the row
-space of its generating sequence, so subspace equality is positional
-comparison of canonical bases and extension choices are deterministic.
+A subspace keeps its generating sequence and builds the unique
+reduced-echelon basis of their row space on first use, so subspace
+equality is positional comparison of canonical bases and extension
+choices are deterministic.  Its ``dim`` is a certified rank of the
+generators until the basis exists: over Q that needs no reduced form (see
+:func:`exactspan.core.rank_matrix`).  So ``dim`` followed by
+``canonical_basis`` on a fresh subspace costs one elimination more than
+the basis alone.  That is the cheaper side: the library never reads
+``dim``, while the CLI ``dim`` and :func:`dimension` read nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .core import (
@@ -84,15 +91,27 @@ class Coordinates:
         return iter(self.coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
+    """The span of ``generators``.  Its canonical basis, the unique
+    reduced-echelon basis of their row space, is built on first use and kept;
+    until then ``dim`` is the certified rank of the generators.  Equality,
+    hashing and containment use the canonical basis."""
+
     field: Field
     ambient_dim: int
-    canonical_basis: VecSequence
+    generators: VecSequence
+
+    @cached_property
+    def canonical_basis(self) -> VecSequence:
+        red = reduced_form(matrix_from_rows(self.generators))
+        vecs = tuple(Vector(self.field, row) for row in red.matrix.values[: red.rank])
+        return VecSequence(self.field, self.ambient_dim, vecs)
 
     @property
     def dim(self) -> int:
-        return len(self.canonical_basis)
+        basis = self.__dict__.get("canonical_basis")  # set by the first access
+        return rank_seq(self.generators) if basis is None else len(basis)
 
     def contains(self, x: Vector) -> bool:
         return member(self, x) is not None
@@ -103,13 +122,23 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_seq(self.canonical_basis)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (
+            self.field is other.field
+            and self.ambient_dim == other.ambient_dim
+            and self.canonical_basis == other.canonical_basis
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.ambient_dim, self.canonical_basis))
+
 
 def span_of(seq: VecSequence) -> Subspace:
-    """The minimal subspace containing every item of ``seq``."""
-    field = seq.field
-    red = reduced_form(matrix_from_rows(seq))
-    vecs = tuple(Vector(field, row) for row in red.matrix.values[: red.rank])
-    return Subspace(field, seq.ambient_dim, VecSequence(field, seq.ambient_dim, vecs))
+    """The minimal subspace containing every item of ``seq``; no elimination
+    runs until its basis or dimension is read."""
+    return Subspace(seq.field, seq.ambient_dim, seq)
 
 
 def member(sub: Subspace, x: Vector) -> Optional[Coordinates]:

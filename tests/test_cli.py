@@ -12,7 +12,7 @@ from exactspan import GF, QQ, Frame, VecSequence, is_frame, lin_comb, sequence, 
 from exactspan.cli import main
 from exactspan.lemma import check_certificate
 from exactspan.randgen import random_invertible_matrix
-from exactspan.textio import parse_certificate_file, render_certificate, render_sequence
+from exactspan.textio import parse_certificate_file, parse_matrix_file, render_certificate, render_sequence
 from test_textio import certificate_texts, mutated_files, near_format_text
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -298,6 +298,38 @@ def test_vectors_of_f0_exit_0(capsys, tmp_path):
     assert run(capsys, "member", "-s", str(path), "-x", str(vec))[:2] == (0, "coefficients 0 0\n")
 
 
+# Two input files over different fields, or of different widths, are bad
+# input: the commands that take a pair reject it where the files are loaded.
+_PAIR_FLAGS = {
+    "change-basis": ("-e", "-f"),
+    "verify-lemma": ("-e", "-f"),
+    "trace": ("-e", "-f"),
+    "steinitz": ("-b", "-k"),
+    "extend": ("-f", "-s"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PAIR_FLAGS))
+def test_mismatched_pair_exits_2(capsys, tmp_path, command):
+    first = tmp_path / "gf2_width2.mat"
+    first.write_text("field gf 2\ndims 2 2\n1 0\n0 1\n", encoding="utf-8")
+    others = {
+        "field": "field gf 3\ndims 2 2\n1 0\n0 1\n",
+        "width": "field gf 2\ndims 2 3\n1 0 0\n0 1 0\n",
+    }
+    if command == "extend":  # a frame and a sequence, both empty: no solve sees the fields
+        first.write_text("field gf 2\ndims 0 2\n", encoding="utf-8")
+        others = {"field": "field gf 3\ndims 0 2\n", "width": "field gf 2\ndims 0 3\n"}
+    flag_a, flag_b = _PAIR_FLAGS[command]
+    for kind, text in others.items():
+        second = tmp_path / f"{kind}.mat"
+        second.write_text(text, encoding="utf-8")
+        for a, b in ((first, second), (second, first)):
+            code, out, err = run(capsys, command, flag_a, str(a), flag_b, str(b))
+            assert (code, out) == (2, ""), (kind, out)
+            assert err.startswith("error: ")
+
+
 # -- cli.main over generated files -------------------------------------------
 
 # Each subcommand's arguments; M0/M1 are matrix files, CERT a certificate
@@ -337,9 +369,10 @@ def cli_cases(draw):
     """A subcommand and its files.  Each file is, three times in four, a
     valid one over a common field and dimension: random sequences, the unit
     vectors, a single vector, and, when the first sequence is a frame, its image under a random
-    invertible matrix, with their certificate, intact or tampered.  Otherwise
-    it is a rendered text with tokens replaced, near-format text or
-    arbitrary text."""
+    invertible matrix, with their certificate, intact or tampered; or, among
+    the matrix files, a valid sequence over another field or of another
+    width.  Otherwise it is a rendered text with tokens replaced, near-format
+    text or arbitrary text."""
     command = draw(st.sampled_from(sorted(_ARGV) + ["oracle-random"]))
     if command == "oracle-random":
         argv = ["oracle-check", "--random", str(draw(st.integers(-1, 3))),
@@ -362,6 +395,11 @@ def cli_cases(draw):
     def file(valid):
         return draw(st.sampled_from(valid) if draw(st.integers(0, 3)) else broken)
 
+    other_field, other_dim = draw(
+        st.tuples(st.sampled_from([GF(2), GF(3), GF(5), QQ]), st.integers(0, 3))
+        .filter(lambda fd: fd != (field, dim))
+    )
+    pool.append(draw(small_sequences(other_field, other_dim, 1, 3)))
     texts = [render_sequence(s) for s in pool]
     files = {"M0": file(texts), "M1": file(texts), "CERT": file(certs)}
     return [command] + _ARGV[command], files
@@ -390,3 +428,10 @@ def test_main_is_total_and_deterministic_on_generated_files(case):
         assert run_main(argv) == (code, out)
         if code == 0 and "OUT" in template:
             assert check_certificate(parse_certificate_file(paths["OUT"]))
+        if "M0" in template and "M1" in template:
+            try:
+                a, b = (parse_matrix_file(paths[slot]) for slot in ("M0", "M1"))
+            except ValueError:
+                return
+            if a.field is not b.field or a.ambient_dim != b.ambient_dim:
+                assert (code, out) == (2, ""), "a mismatched pair must be bad input"

@@ -1,6 +1,9 @@
 """Eliminations per public question, pinned as regression guards.
 
-Every elimination goes through ``reduced_form``.  Modules import it by name
+Every elimination but a rank over Q goes through ``reduced_form``; a Q rank
+runs the certified rank route or a Bareiss forward pass without building a
+reduced form (see ``test_kernels.py``), and the pins below count it as
+none.  Modules import ``reduced_form`` by name
 (``from .core import reduced_form``), so each of core, spans and lemma holds
 its own binding and the counter wraps all three.  Frames are built before
 counting starts: building a ``Frame`` checks independence with one
@@ -23,6 +26,9 @@ from exactspan import (
     VecSequence,
     basis_from_generators,
     change_of_basis,
+    dimension,
+    rank_seq,
+    sequence,
     span_of,
     steinitz_extend,
     trace_induction,
@@ -32,6 +38,7 @@ from exactspan import core, lemma, spans
 from exactspan.core import kernel_basis, matrix_from_columns, matrix_from_rows, reduced_form, solve_many
 from exactspan.randgen import random_frame, random_frame_pair, random_sequence, random_vector
 from exactspan.textio import parse_matrix_text, render_sequence
+from test_kernels import BIG, derived_rows, rand_rows
 
 FIELDS = (GF(2), GF(3), GF(5), QQ)
 
@@ -112,6 +119,76 @@ def test_trace_induction_is_linear_in_n(eliminations, n):
     for field in FIELDS:
         e, f = random_frame_pair(field, n + 1, n, rng)
         assert eliminations(trace_induction, e, f) <= 7 * n
+
+
+def test_span_of_makes_none(eliminations):
+    rng = random.Random(8)
+    for field in FIELDS:
+        for _ in range(8):
+            seq = random_sequence(field, rng.randint(0, 6), rng.randint(0, 8), rng)
+            assert eliminations(span_of, seq) == 0
+
+
+@pytest.mark.parametrize("small_relations", [True, False], ids=["small_relations", "dense_relations"])
+def test_q_rank_and_dimension_make_none(eliminations, small_relations):
+    rng = random.Random(9)
+    for n_rows, n_cols, rank in ((12, 12, 9), (16, 8, 6), (6, 10, 4)):
+        if small_relations:
+            rows = derived_rows(rng, n_rows, n_cols, rank)
+        else:
+            rows = rand_rows(rng, None, n_rows, n_cols, BIG, rank=rank)
+        seq = sequence(QQ, rows)
+        assert eliminations(rank_seq, seq) == 0
+        assert eliminations(lambda: dimension(span_of(seq))) == 0
+        assert rank_seq(seq) == dimension(span_of(seq)) == rank
+
+
+def test_canonical_basis_is_built_once(eliminations):
+    rng = random.Random(10)
+    for field in FIELDS:
+        for _ in range(8):
+            seq = random_sequence(field, rng.randint(0, 6), rng.randint(0, 8), rng)
+            sub = span_of(seq)
+            assert eliminations(lambda: sub.canonical_basis) == 1
+            basis = sub.canonical_basis
+            assert eliminations(lambda: sub.canonical_basis) == 0
+            assert eliminations(lambda: sub.dim) == 0
+            assert eliminations(hash, sub) == 0
+            assert sub.canonical_basis is basis
+
+
+def test_dim_is_the_dimension_before_and_after_the_basis():
+    rng = random.Random(11)
+    for field in FIELDS:
+        for _ in range(8):
+            seq = random_sequence(field, rng.randint(0, 6), rng.randint(0, 8), rng)
+            rank = reduced_form(matrix_from_rows(seq)).rank
+            sub = span_of(seq)
+            assert sub.dim == rank
+            assert len(sub.canonical_basis) == rank
+            assert sub.dim == rank
+            assert span_of(seq).dim == rank
+
+
+def test_subspace_equality_and_hash_follow_canonical_bases():
+    rng = random.Random(12)
+    for field in FIELDS:
+        subs = []
+        for _ in range(10):
+            m = rng.randint(0, 3)
+            gens = random_sequence(field, m, rng.randint(0, 5), rng)
+            sub = span_of(gens)
+            basis = basis_from_generators(gens).seq
+            same = (span_of(basis), span_of(sub.canonical_basis), span_of(VecSequence(field, m, gens.items * 2)))
+            for other in same:
+                assert span_of(gens) == other and hash(span_of(gens)) == hash(other)
+            subs += [sub, *same]
+        for a in subs:
+            for b in subs:
+                same_basis = (a.field, a.ambient_dim, a.canonical_basis) == (b.field, b.ambient_dim, b.canonical_basis)
+                assert (a == b) == same_basis
+                if same_basis:
+                    assert hash(a) == hash(b)
 
 
 @pytest.fixture

@@ -310,3 +310,202 @@ def test_word_sized_rows_stay_on_bareiss(routes):
 def test_reconstruct_inverts_reduction_within_the_bound(a, b):
     x = a * pow(b, -1, P) % P
     assert core._reconstruct(x, P, core._Q_BOUND) == Fraction(a, b)
+
+
+# -- the certified rank route over Q -----------------------------------------
+#
+# rank_matrix over Q builds no reduced form.  Rows whose cleared entries are
+# wider than a machine word get a rank mod core._Q_PRIME (a lower bound) and,
+# when that is below min(rows, cols), one reconstructed relation of the
+# rational rows per non-pivot row, each checked exactly (the upper bound).
+# Anything else falls back to the Bareiss forward pass.
+
+HUGE = 2**70
+
+
+def ref_rank_matrix(m):
+    """rank_matrix as it was before the rank route: the reduced form's rank."""
+    return reduced_form(m).rank
+
+
+def assert_rank(rows, n_cols):
+    m = matrix(QQ, rows, cols=n_cols)
+    assert core.rank_matrix(m) == ref_rank_matrix(m)
+
+
+@pytest.fixture
+def rank_routes(monkeypatch):
+    """Counts of the rank route's outcomes, by wrapping its function."""
+    seen = {"accepted": 0, "fell_back": 0}
+    route = core._rank_rational_modular
+
+    def counted(*args):
+        out = route(*args)
+        seen["accepted" if out is not None else "fell_back"] += 1
+        return out
+
+    monkeypatch.setattr(core, "_rank_rational_modular", counted)
+    return seen
+
+
+@st.composite
+def q_rank_inputs(draw):
+    """Q matrices up to 7 x 7 at heights 9, 2^20 and 2^70: dense, or a product
+    of random factors (any rank), with some rows zeroed; optionally every
+    entry times P (rank 0 mod P), or some rows divided by P (P divides their
+    denominators)."""
+    n_rows = draw(st.integers(0, 7))
+    n_cols = draw(st.integers(0, 7))
+    height = draw(st.sampled_from([SMALL, BIG, HUGE]))
+    entry = st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        rows = block(n_rows, n_cols)
+    else:
+        rank = draw(st.integers(0, min(n_rows, n_cols)))
+        left, right = block(n_rows, rank), block(rank, n_cols)
+        rows = [[sum((lrow[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(n_cols)]
+                for lrow in left]
+    for i in draw(st.sets(st.integers(0, max(n_rows - 1, 0)), max_size=n_rows)):
+        if i < n_rows:
+            rows[i] = [Fraction(0)] * n_cols
+    twist = draw(st.sampled_from(["none", "times_p", "over_p"]))
+    if twist == "times_p":
+        rows = [[x * P for x in row] for row in rows]
+    elif twist == "over_p":
+        over = draw(st.sets(st.integers(0, max(n_rows - 1, 0)), max_size=n_rows))
+        rows = [[x / P for x in row] if i in over else row for i, row in enumerate(rows)]
+    return rows, n_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_rank_inputs())
+def test_rank_matches_reference_hypothesis(case):
+    assert_rank(*case)
+
+
+@pytest.mark.parametrize("height", [SMALL, BIG, HUGE], ids=["small", "20bit", "70bit"])
+def test_rank_matches_reference_on_shapes(height):
+    rng = random.Random(f"rank/{height}")
+    for _ in range(4):
+        for rows in shapes(rng, None, height):
+            assert_rank(rows, len(rows[0]) if rows else 0)
+    for n_cols in (0, 3):
+        assert_rank([], n_cols)
+
+
+def derived_rows(rng, n_rows, n_cols, rank):
+    """``rank`` independent 20-bit rows, each made dominant on its own column,
+    and n_rows - rank rows each the sum of two of them with coefficients in
+    {±1, ±2}, shuffled: the shape of the benchmark's rank-deficient sets.
+    Every relation is small, and the rows' cleared denominators are large
+    and differ from row to row."""
+    base = []
+    for i in range(rank):
+        row = [rand_entry(rng, None, BIG) for _ in range(n_cols)]
+        row[i] = Fraction(sum(abs(x) for x in row) // 1 + 1)
+        base.append(row)
+    rows = [list(b) for b in base]
+    for _ in range(n_rows - rank):
+        (j, a), (k, b) = [(j, rng.choice((1, -1, 2, -2))) for j in rng.sample(range(rank), 2)]
+        rows.append([a * x + b * y for x, y in zip(base[j], base[k])])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("n_rows,n_cols,rank", [(12, 12, 9), (24, 12, 9), (16, 16, 12), (24, 24, 18)])
+def test_rank_route_certifies_small_relations(rank_routes, n_rows, n_cols, rank):
+    rng = random.Random(f"relations/{n_rows}/{n_cols}")
+    for _ in range(3):
+        rows = derived_rows(rng, n_rows, n_cols, rank)
+        m = matrix(QQ, rows)
+        assert core.rank_matrix(m) == rank == ref_rank_matrix(m)
+    assert rank_routes == {"accepted": 3, "fell_back": 0}
+
+
+@pytest.mark.parametrize("n_rows,n_cols,rank", [(12, 12, 9), (16, 8, 6), (8, 16, 5)])
+def test_rank_route_falls_back_on_dense_relations(rank_routes, n_rows, n_cols, rank):
+    rng = random.Random(f"dense/{n_rows}/{rank}")
+    for _ in range(3):
+        rows = rand_rows(rng, None, n_rows, n_cols, BIG, rank=rank)
+        m = matrix(QQ, rows)
+        assert core.rank_matrix(m) == rank == ref_rank_matrix(m)
+    assert rank_routes == {"accepted": 0, "fell_back": 3}
+
+
+def test_rank_route_full_rank_needs_no_relation(rank_routes, monkeypatch):
+    rng = random.Random("full")
+    cases = [matrix(QQ, rand_rows(rng, None, r, c, BIG)) for r, c in ((6, 6), (4, 9), (9, 4))]
+    expected = [min(m.rows, m.cols) for m in cases]
+    assert [ref_rank_matrix(m) for m in cases] == expected
+    reconstructed = []
+    monkeypatch.setattr(core, "_reconstruct", lambda *a: reconstructed.append(a))
+    assert [core.rank_matrix(m) for m in cases] == expected
+    assert rank_routes == {"accepted": 3, "fell_back": 0} and reconstructed == []
+
+
+@pytest.mark.parametrize(
+    "int_rows,rank,outcome",
+    [
+        ([[1, 1], [1, 1 + P]], 2, "fell_back"),  # rank 1 mod P: its relation fails
+        ([[P, 2 * P], [3 * P, 5 * P]], 2, "fell_back"),  # rank 0 mod P
+        ([[P, 2 * P], [2 * P, 4 * P]], 1, "fell_back"),
+        ([[1, 0], [2, 0], [1, P]], 2, "fell_back"),  # a true relation, then a false one
+        ([[1, 0], [1, P], [2, 0]], 2, "fell_back"),  # a false relation, then a true one
+        ([[1, 0], [2, 0], [3, 0], [1, P]], 2, "fell_back"),
+        ([[1, 0], [2, 0], [3, 0], [0, P]], 2, "fell_back"),  # row 3 is zero mod P
+        ([[1, 0], [2, 0], [3, 0], [0, 2**70]], 2, "accepted"),
+        ([[P, 1], [2 * P, 2], [1, 0]], 2, "accepted"),
+        ([[P + 1, 2], [2 * P + 2, 4]], 1, "accepted"),
+    ],
+    ids=["unlucky_prime", "zero_mod_p", "zero_mod_p_deficient", "true_then_false",
+         "false_then_true", "two_true_one_false", "zero_row_mod_p", "two_true", "multiple_entries", "shared_factor"],
+)
+def test_rank_route_around_the_prime(rank_routes, int_rows, rank, outcome):
+    m = matrix(QQ, int_rows)
+    assert core.rank_matrix(m) == rank == ref_rank_matrix(m)
+    assert rank_routes[outcome] == 1 and sum(rank_routes.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "rows,rank",
+    [
+        ([[Fraction(2**70, P), Fraction(1, P)], [Fraction(2**71, P), Fraction(2, P)]], 1),
+        ([[Fraction(2**70), Fraction(1)], [Fraction(2**71, P), Fraction(2, P)]], 1),
+        ([[Fraction(2**70, P), Fraction(1, P)], [Fraction(2**71), Fraction(2)]], 1),
+        ([[Fraction(1, P), Fraction(2**70)], [Fraction(1, 3 * P), Fraction(5)]], 2),
+    ],
+    ids=["both_rows", "free_row", "pivot_row", "full_rank"],
+)
+def test_rank_route_with_p_in_a_denominator(rank_routes, rows, rank):
+    """When P divides a row's denominators, the inverse of d_f may not exist:
+    the route falls back instead of raising."""
+    m = matrix(QQ, rows)
+    assert core.rank_matrix(m) == rank == ref_rank_matrix(m)
+    assert sum(rank_routes.values()) == 1
+
+
+def test_word_sized_rows_skip_the_rank_route(rank_routes):
+    rng = random.Random(63)
+    edge = 2**62 - 1
+    for rows in shapes(rng, None, SMALL):
+        assert_rank(rows, len(rows[0]) if rows else 0)
+    assert_rank(q_rows([[edge, 1], [-edge, -1]]), 2)
+    assert rank_routes == {"accepted": 0, "fell_back": 0}
+    assert_rank(q_rows([[edge + 1, 1], [2 * edge + 2, 2]]), 2)
+    assert rank_routes == {"accepted": 1, "fell_back": 0}
+
+
+def test_rank_makes_no_back_substitution(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("back-substitution ran for a rank")
+
+    monkeypatch.setattr(core, "_back_substitute", forbidden)
+    rng = random.Random("forward")
+    for height in (SMALL, BIG):
+        for rows in shapes(rng, None, height):
+            m = matrix(QQ, rows, cols=len(rows[0]) if rows else 0)
+            core.rank_matrix(m)

@@ -20,8 +20,9 @@ Every ``solve_many`` witness must reproduce its target by substitution in
 raw Fractions.
 
 The Q engine itself reduces wide rows modulo one prime before it falls back
-to Bareiss; that prime must be neither of the two used here, so that this
-check stays independent of the engine.
+to Bareiss, for the reduced form and for the certified rank route that
+``rank_matrix`` takes; that prime must be neither of the two used here, so
+that this check stays independent of the engine.
 """
 
 import random
@@ -32,7 +33,8 @@ import pytest
 
 from exactspan import GF, QQ, matrix, reduced_form, sequence, vector
 from exactspan import core
-from exactspan.core import solve_many
+from exactspan.core import rank_matrix, solve_many
+from test_kernels import derived_rows
 
 PRIMES = (2**31 - 1, 65521)
 
@@ -172,3 +174,33 @@ def test_q_membership_witnesses_and_mod_p_agreement(seed):
                     sols_p = solve_many(sequence(GF(p), cleared(rows)), [vector(GF(p), cleared([t])[0])])
                     assert (sols_p[0] is not None) == (sol is not None)
         assert sols[0] is not None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_route_agrees_with_reduction_mod_p(seed, monkeypatch):
+    """``rank_matrix`` over Q, which certifies wide ranks modulo the engine's
+    prime, against the bounds at the two primes here: at least the rank mod
+    p, equal to it when p misses the pivot minor, and equal to the rank of
+    the reduced form, whose pivot minor is checked to be nonsingular."""
+    outcomes = []
+    route = core._rank_rational_modular
+
+    def counted(*args):
+        out = route(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(core, "_rank_rational_modular", counted)
+    rng = random.Random(2000 + seed)
+    route_cases = [(derived_rows(rng, n_rows, n_cols, rank), n_cols)
+                   for n_rows, n_cols, rank in ((8, 8, 6), (12, 6, 5), (6, 9, 4))]
+    for rows, n_cols in list(cases(seed)) + route_cases:
+        r_route = rank_matrix(matrix(QQ, rows, cols=n_cols))
+        r, required = check_rank(rows, n_cols)
+        assert r_route == r
+        for p in PRIMES:
+            rp = p_rank(cleared(rows), n_cols, p)
+            assert r_route >= rp
+            if required[p]:
+                assert r_route == rp
+    assert True in outcomes and False in outcomes
