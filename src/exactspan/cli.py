@@ -85,13 +85,6 @@ def _load_frame_pair(path_a: str, what_a: str, path_b: str, what_b: str) -> Tupl
     return _as_frame(a, path_a, what_a), _as_frame(b, path_b, what_b)
 
 
-def _single_vector(path: str):
-    seq = parse_matrix_file(path)
-    if len(seq) != 1:
-        raise FormatError(f"{path}: expected exactly one row for a vector file")
-    return seq[0]
-
-
 def _cmd_rank(args) -> int:
     seq = parse_matrix_file(args.sequence)
     print(f"rank {rank_seq(seq)}")
@@ -99,9 +92,10 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    seq = parse_matrix_file(args.sequence)
-    x = _single_vector(args.vector)
-    coeffs = solve_in_span(seq, x)
+    seq, xs = _load_pair(args.sequence, "sequence", args.vector, "vector")
+    if len(xs) != 1:
+        raise FormatError(f"{args.vector}: expected exactly one row for a vector file")
+    coeffs = solve_in_span(seq, xs[0])
     if coeffs is None:
         print("not in span")
         return EXIT_NEGATIVE

@@ -148,12 +148,15 @@ def member(sub: Subspace, x: Vector) -> Optional[Coordinates]:
 
 
 def is_maximal_in(fr: Frame, sub: Subspace) -> bool:
-    """True iff the frame spans ``sub``.  The span test is equivalent to the
-    rank-bound definition of maximality; the oracle module checks the
-    definitional form on small instances."""
+    """True iff the frame spans ``sub``.  Once the frame lies in ``sub``,
+    its span is a subspace of dimension len(fr), because a frame is
+    independent, so it spans ``sub`` exactly when len(fr) == dim sub; the
+    containment check has built the canonical basis that ``dim`` then reads.
+    The span test is equivalent to the rank-bound definition of maximality;
+    the oracle module checks the definitional form on small instances."""
     if not sub.contains_seq(fr.seq):
         raise ValueError("frame is not contained in the subspace")
-    return span_of(fr.seq) == sub
+    return len(fr) == sub.dim
 
 
 def extend_frame(fr: Frame, sub: Subspace) -> Vector:

@@ -301,6 +301,7 @@ def test_vectors_of_f0_exit_0(capsys, tmp_path):
 # Two input files over different fields, or of different widths, are bad
 # input: the commands that take a pair reject it where the files are loaded.
 _PAIR_FLAGS = {
+    "member": ("-s", "-x"),
     "change-basis": ("-e", "-f"),
     "verify-lemma": ("-e", "-f"),
     "trace": ("-e", "-f"),
@@ -320,6 +321,9 @@ def test_mismatched_pair_exits_2(capsys, tmp_path, command):
     if command == "extend":  # a frame and a sequence, both empty: no solve sees the fields
         first.write_text("field gf 2\ndims 0 2\n", encoding="utf-8")
         others = {"field": "field gf 3\ndims 0 2\n", "width": "field gf 2\ndims 0 3\n"}
+    if command == "member":  # one-row files, so each is also a valid vector file
+        first.write_text("field gf 2\ndims 1 2\n1 0\n", encoding="utf-8")
+        others = {"field": "field gf 3\ndims 1 2\n1 0\n", "width": "field gf 2\ndims 1 3\n1 0 0\n"}
     flag_a, flag_b = _PAIR_FLAGS[command]
     for kind, text in others.items():
         second = tmp_path / f"{kind}.mat"
@@ -328,6 +332,7 @@ def test_mismatched_pair_exits_2(capsys, tmp_path, command):
             code, out, err = run(capsys, command, flag_a, str(a), flag_b, str(b))
             assert (code, out) == (2, ""), (kind, out)
             assert err.startswith("error: ")
+            assert str(a) in err and str(b) in err, err
 
 
 # -- cli.main over generated files -------------------------------------------
@@ -370,9 +375,9 @@ def cli_cases(draw):
     valid one over a common field and dimension: random sequences, the unit
     vectors, a single vector, and, when the first sequence is a frame, its image under a random
     invertible matrix, with their certificate, intact or tampered; or, among
-    the matrix files, a valid sequence over another field or of another
-    width.  Otherwise it is a rendered text with tokens replaced, near-format
-    text or arbitrary text."""
+    the matrix files, a valid sequence or a single vector over another field
+    or of another width.  Otherwise it is a rendered text with tokens
+    replaced, near-format text or arbitrary text."""
     command = draw(st.sampled_from(sorted(_ARGV) + ["oracle-random"]))
     if command == "oracle-random":
         argv = ["oracle-check", "--random", str(draw(st.integers(-1, 3))),
@@ -400,6 +405,7 @@ def cli_cases(draw):
         .filter(lambda fd: fd != (field, dim))
     )
     pool.append(draw(small_sequences(other_field, other_dim, 1, 3)))
+    pool.append(draw(small_sequences(other_field, other_dim, 1, 1)))  # a vector file for `member -x`
     texts = [render_sequence(s) for s in pool]
     files = {"M0": file(texts), "M1": file(texts), "CERT": file(certs)}
     return [command] + _ARGV[command], files
@@ -409,7 +415,7 @@ def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,9 +429,9 @@ def test_main_is_total_and_deterministic_on_generated_files(case):
             with open(paths[slot], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         argv = [paths.get(a, a) for a in template]
-        code, out = run_main(argv)
+        code, out, err = run_main(argv)
         assert code in (0, 1, 2)
-        assert run_main(argv) == (code, out)
+        assert run_main(argv)[:2] == (code, out)
         if code == 0 and "OUT" in template:
             assert check_certificate(parse_certificate_file(paths["OUT"]))
         if "M0" in template and "M1" in template:
@@ -435,3 +441,4 @@ def test_main_is_total_and_deterministic_on_generated_files(case):
                 return
             if a.field is not b.field or a.ambient_dim != b.ambient_dim:
                 assert (code, out) == (2, ""), "a mismatched pair must be bad input"
+                assert paths["M0"] in err and paths["M1"] in err, err

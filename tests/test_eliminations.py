@@ -27,6 +27,7 @@ from exactspan import (
     basis_from_generators,
     change_of_basis,
     dimension,
+    is_maximal_in,
     rank_seq,
     sequence,
     span_of,
@@ -93,6 +94,20 @@ def test_contains_seq_makes_one(eliminations):
             for items in ((), inside, inside + outside):
                 seq = VecSequence(field, m, items)
                 assert eliminations(sub.contains_seq, seq) == 1
+
+
+def test_is_maximal_in_makes_two(eliminations):
+    """One elimination for the subspace's canonical basis, one for the
+    containment solve; the span comparison itself costs none."""
+    rng = random.Random(13)
+    for field in FIELDS:
+        for _ in range(8):
+            m = rng.randint(1, 5)
+            gens = random_sequence(field, m, rng.randint(0, 6), rng)
+            fr = basis_from_generators(VecSequence(field, m, gens.items[: rng.randint(0, len(gens))]))
+            sub = span_of(gens)
+            assert eliminations(is_maximal_in, fr, sub) == 2
+            assert is_maximal_in(fr, span_of(gens)) == (len(fr) == rank_seq(gens))
 
 
 def test_basis_from_generators_makes_at_most_two(eliminations):

@@ -2,9 +2,9 @@
 
 The reduced echelon form is unique, so every kernel must return exactly the
 rows and pivots of the plain Gauss-Jordan and Bareiss kernels kept below as
-references: the GF(2) bit-packed kernel and the GF(p) pivot-suffix kernel
-against ``ref_rref_mod_p``, the Q kernel with integer back-substitution
-against ``ref_rref_rational``.
+references: the GF(2) bit-packed kernel and the GF(p) Kronecker-packed
+kernel against ``ref_rref_mod_p``, the Q kernel with integer
+back-substitution against ``ref_rref_rational``.
 """
 
 import random
@@ -197,6 +197,127 @@ def kernel_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(kernel_inputs())
 def test_kernels_match_reference_hypothesis(case):
+    p, rows = case
+    assert_same(rows, p)
+
+
+# -- the packed GF(p) kernel --------------------------------------------------
+#
+# _rref_mod_p packs each row into one int and reduces slots only when read,
+# for k = min(rows, cols) >= core._PACKED_MIN_K; below that the list kernel
+# runs.  The cases straddle that rule, reach k = 64, and include the inputs
+# that drive a slot to its bound p - 1 + k·(p - 1)².
+
+PACKED_PRIMES = (3, 5, 65521, 2**31 - 1, 2**61 - 1, 2**127 - 1)
+PACKED_IDS = ["gf3", "gf5", "gf65521", "m31", "m61", "m127"]
+MIN_K = core._PACKED_MIN_K
+
+
+def max_growth_rows(p, n_rows, n_cols):
+    """Full-rank rows on which each elimination step puts 1 in the pivot
+    column from the pivot row down and p - 1 right of the pivot in the pivot
+    row, so every row below the pivot gains (p - 1)² in every slot right of
+    it: a row below the k-th one ends within 2 % of the bound at k = 64."""
+    if not n_rows or not n_cols:
+        return [[0] * n_cols for _ in range(n_rows)]
+    below = max_growth_rows(p, n_rows - 1, n_cols - 1)
+    return [[1] + [p - 1] * (n_cols - 1)] + [[1] + [(x - 1) % p for x in row] for row in below]
+
+
+def with_zero_lines(rng, rows):
+    """The rows with about a quarter of the rows and columns set to zero."""
+    n_cols = len(rows[0]) if rows else 0
+    cols = [j for j in range(n_cols) if rng.random() < 0.25]
+    out = []
+    for row in rows:
+        row = [0] * n_cols if rng.random() < 0.25 else list(row)
+        for j in cols:
+            row[j] = 0
+        out.append(row)
+    return out
+
+
+def packed_cases(rng, p):
+    """Empty and degenerate shapes; k just below, at and above the size
+    rule in square, wide and tall shapes, full-rank, rank-deficient and with
+    zero rows and columns; larger shapes up to k = 64; all entries p - 1;
+    and the maximal-growth rows, square, wide and tall."""
+    yield []
+    yield [[] for _ in range(4)]
+    yield [[0] * 5 for _ in range(4)]
+    for k in (MIN_K - 1, MIN_K, MIN_K + 1):
+        for n_rows, n_cols in ((k, k), (k, 3 * k), (3 * k, k)):
+            yield rand_rows(rng, p, n_rows, n_cols, SMALL)
+            yield rand_rows(rng, p, n_rows, n_cols, SMALL, rank=rng.randint(0, k - 1))
+            yield with_zero_lines(rng, rand_rows(rng, p, n_rows, n_cols, SMALL))
+    for n_rows, n_cols in ((8, 8), (16, 40), (40, 16), (33, 33), (64, 64)):
+        yield rand_rows(rng, p, n_rows, n_cols, SMALL, rank=min(n_rows, n_cols) * 3 // 4)
+    yield rand_rows(rng, p, 64, 64, SMALL)
+    yield with_zero_lines(rng, rand_rows(rng, p, 24, 30, SMALL))
+    for n_rows, n_cols in ((MIN_K, MIN_K), (20, 7), (64, 64)):
+        yield [[p - 1] * n_cols for _ in range(n_rows)]
+    for n_rows, n_cols in ((MIN_K + 1, MIN_K), (16, 16), (17, 16), (33, 32), (20, 48), (70, 64)):
+        yield max_growth_rows(p, n_rows, n_cols)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES, ids=PACKED_IDS)
+def test_packed_kernel_matches_reference(p):
+    rng = random.Random(f"packed/{p}")
+    for rows in packed_cases(rng, p):
+        assert_same(rows, p)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES, ids=PACKED_IDS)
+def test_max_growth_rows_reach_the_slot_bound(p):
+    """The maximal-growth input really drives a slot near p - 1 + k·(p - 1)²:
+    replay the packed kernel's updates on unbounded lists and take the
+    largest unreduced entry."""
+    n_rows, n_cols = 70, 64
+    rows = max_growth_rows(p, n_rows, n_cols)
+    peak, r = 0, 0
+    for c in range(n_cols):
+        pr = next((i for i in range(r, n_rows) if rows[i][c] % p), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(n_rows):
+            f = rows[i][c] % p
+            if f and i != r:
+                rows[i] = [x + (p - f) * y for x, y in zip(rows[i], rows[r])]
+                peak = max(peak, *rows[i])
+        r += 1
+    bound = p - 1 + n_cols * (p - 1) ** 2
+    assert r == n_cols and 0.98 * bound < peak <= bound
+
+
+@st.composite
+def packed_inputs(draw):
+    """GF(p) rows up to 40 x 40 over the primes above and 7: random, of a
+    drawn rank, all p - 1, or maximal growth, optionally with zero rows and
+    columns; the entries come from a drawn seed."""
+    p = draw(st.sampled_from(PACKED_PRIMES + (7,)))
+    n_rows = draw(st.integers(0, 40))
+    n_cols = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["random", "rank", "all_p_minus_1", "max_growth"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        rows = rand_rows(rng, p, n_rows, n_cols, SMALL)
+    elif kind == "rank":
+        rows = rand_rows(rng, p, n_rows, n_cols, SMALL, rank=draw(st.integers(0, min(n_rows, n_cols))))
+    elif kind == "all_p_minus_1":
+        rows = [[p - 1] * n_cols for _ in range(n_rows)]
+    else:
+        rows = max_growth_rows(p, n_rows, n_cols)
+    if draw(st.booleans()):
+        rows = with_zero_lines(rng, rows)
+    return p, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_inputs())
+def test_packed_kernel_matches_reference_hypothesis(case):
     p, rows = case
     assert_same(rows, p)
 

@@ -1,6 +1,10 @@
 """The package is pure Python with no runtime dependencies: every import in
 ``src/exactspan`` is either from the standard library or relative to the
-package.  numpy, sympy and friends may appear in tests and benchmarks only."""
+package.  numpy, sympy and friends may appear in tests and benchmarks only.
+
+It also runs on Python 3.10 (``requires-python``): ``int.to_bytes`` and
+``int.from_bytes`` gained their default ``byteorder`` (and ``to_bytes`` its
+default ``length``) only in 3.11, so every call passes them explicitly."""
 
 import ast
 import pathlib
@@ -46,3 +50,53 @@ def test_guard_flags_third_party_imports():
         "    import exactspan\n"
     )
     assert list(foreign_imports(tree)) == [(1, "numpy"), (2, "sympy.matrices"), (7, "exactspan")]
+
+
+def implicit_byte_conversions(tree: ast.AST):
+    """``to_bytes`` calls without a length or a byteorder, ``from_bytes``
+    calls without a byteorder, and references to either that are not called
+    on the spot (passed to ``map``, say), whose arguments cannot be checked."""
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name not in ("to_bytes", "from_bytes"):
+                continue
+            called.add(id(node.func))
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                yield node.lineno, name
+                continue
+            given = {k.arg for k in node.keywords}
+            needed = [("length", 0), ("byteorder", 1)] if name == "to_bytes" else [("byteorder", 1)]
+            if any(len(node.args) <= pos and arg not in given for arg, pos in needed):
+                yield node.lineno, name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes") and id(node) not in called:
+            yield node.lineno, node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_byte_conversions_pass_length_and_byteorder(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(implicit_byte_conversions(tree)) == []
+
+
+def test_guard_flags_implicit_byte_conversions():
+    tree = ast.parse(
+        "x.to_bytes(4, 'little')\n"
+        "x.to_bytes(length=4, byteorder='big')\n"
+        "int.from_bytes(b, 'little')\n"
+        "int.from_bytes(b, byteorder='little', signed=False)\n"
+        "x.to_bytes()\n"
+        "x.to_bytes(4)\n"
+        "x.to_bytes(byteorder='little')\n"
+        "int.from_bytes(b)\n"
+        "int.from_bytes(b, signed=True)\n"
+        "x.to_bytes(*args)\n"
+        "int.from_bytes(**kwargs)\n"
+        "list(map(int.from_bytes, chunks))\n"
+    )
+    assert sorted(implicit_byte_conversions(tree)) == [
+        (5, "to_bytes"), (6, "to_bytes"), (7, "to_bytes"), (8, "from_bytes"), (9, "from_bytes"),
+        (10, "to_bytes"), (11, "from_bytes"), (12, "from_bytes"),
+    ]
