@@ -12,25 +12,22 @@ accessors (``entries``, ``m[(i, j)]``) and for the coefficients
 ``solve_many`` returns.  There is one kernel per kind of field: bit-packed
 rows eliminated by XOR over GF(2); over GF(p), Gauss-Jordan on rows packed
 into one int each, w-bit slots reduced mod p only when read, so that a row
-update is one big-int multiply-add (on lists when there are fewer than
-three pivots, where packing costs more than it saves); and over the
-rationals, once rows are cleared of denominators, a certified modular route
-when an entry is wider than a machine word (one elimination modulo a
-127-bit prime, rational reconstruction, acceptance only after an exact
-substitution check) and otherwise, or when that check fails, a
-fraction-free Bareiss forward pass followed by back-substitution in
-integers.  A rank over Q builds no reduced form: on wide rows it is
-certified from one elimination modulo the same prime (the rank mod p as a
-lower bound, independent relations of the rows, rationally reconstructed
-and checked exactly, as an upper bound), and otherwise read off the
-Bareiss forward pass.
+update is one big-int multiply-add; and over the rationals, once rows are
+cleared of denominators, a certified modular route when an entry is wider
+than a machine word (one elimination modulo a 127-bit prime, rational
+reconstruction, acceptance only after an exact substitution check) and
+otherwise, or when that check fails, a fraction-free Bareiss forward pass
+followed by back-substitution in integers.  A rank over Q builds no reduced
+form: on wide rows it is certified from one elimination modulo the same
+prime (the rank mod p as a lower bound, independent relations of the rows,
+rationally reconstructed and checked exactly, as an upper bound), and
+otherwise read off the Bareiss forward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import isqrt, lcm
 from operator import add, mul
@@ -214,11 +211,10 @@ def lin_comb(seq: VecSequence, coeffs: Sequence) -> Vector:
 # Each kernel takes the rows of a matrix as sequences of canonical values
 # (ints in [0, p), or Fractions in lowest terms) and returns the unique
 # reduced row-echelon form as lists of the same values, with its pivot
-# columns.  Only the GF(p) list kernel writes to the list of rows it is
-# given.  When a kernel reaches column c, the rows from the current pivot row
-# down are zero left of c, so the list kernels update only the suffix from c
-# on, and the pivot row that the GF(p) packed kernel repacks has no slots left
-# of c.
+# columns; none writes to the rows it is given.  When a kernel reaches
+# column c, the rows from the current pivot row down are zero left of c, so
+# the Bareiss pass updates only the suffix from c on, and the GF(p) kernel
+# repacks the pivot row from slot c on.
 
 _BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -253,26 +249,12 @@ def _rref_gf2(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]
     return [list(bin(v | sentinel)[:2:-1].encode().translate(_DIGITS_TO_BITS)) for v in packed], pivots
 
 
-@lru_cache(maxsize=None)
-def _byte_times(p: int, x: int) -> bytes:
-    """The ``bytes.translate`` table taking a byte b to b·x mod p.  Only
-    one-byte slots use it, and with k >= ``_PACKED_MIN_K`` those need
-    p <= 7, so few tables exist."""
-    return bytes(b * x % p for b in range(256))
-
-
 def _pack(values: Sequence[int], w: int) -> int:
     """One int holding values[j] in the w-bit slot at bit j·w."""
     acc = 0
     for x in reversed(values):
         acc = acc << w | x
     return acc
-
-
-# The packed GF(p) kernel runs from this many pivots on.  With fewer, packing
-# costs more than it saves: the measured crossover lies between k = 2 and
-# k = 3 for one-byte and for wider slots alike.
-_PACKED_MIN_K = 3
 
 
 def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
@@ -288,28 +270,16 @@ def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[in
     pivots, so a row takes at most k updates.  Each adds the non-negative
     amount (p - f)·x <= (p - 1)² to a slot: the multiplier f = slot mod p is
     nonzero, and x is an entry of the reduced pivot row.  A slot that starts
-    below p therefore never exceeds p - 1 + k·(p - 1)², and w is one bit more
-    than that takes, rounded up to whole bytes.  Per pivot only the pivot
-    row is unpacked, reduced mod p, scaled and repacked; every other row
-    reads its multiplier from one slot.  The rows are unpacked and reduced
-    once, at the end.  Wider slots are read by shift and mask; one-byte
-    slots (p <= 7, small k) move through ``int.to_bytes``/``int.from_bytes``,
-    and ``bytes.translate`` reduces and scales all of them at once.  With
-    fewer than ``_PACKED_MIN_K`` pivots, :func:`_rref_mod_p_lists` runs
-    instead."""
+    below p therefore never exceeds p - 1 + k·(p - 1)², and w is the number
+    of bits that bound takes.  Per pivot only the pivot row is unpacked,
+    reduced mod p, scaled and repacked; every other row reads its multiplier
+    from one slot.  The rows are unpacked and reduced once, at the end."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     k = min(n_rows, n_cols)
-    if k < _PACKED_MIN_K:
-        return _rref_mod_p_lists(rows, p)
-    size = (k * (p - 1) ** 2 + p - 1).bit_length() // 8 + 1  # bytes per slot
-    w = 8 * size
+    w = (k * (p - 1) ** 2 + p - 1).bit_length()
     mask = (1 << w) - 1
-    length = size * n_cols
-    if size == 1:
-        packed = [int.from_bytes(bytes(row), "little") for row in rows]
-    else:
-        packed = [_pack(row, w) for row in rows]
+    packed = [_pack(row, w) for row in rows]
     pivots: List[int] = []
     r = 0
     for c in range(n_cols):
@@ -321,13 +291,8 @@ def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[in
             continue
         piv = packed[pr] >> shift
         packed[pr] = packed[r]
-        if size == 1:
-            raw = piv.to_bytes(length - c, "little")
-            piv = int.from_bytes(raw.translate(_byte_times(p, pow(raw[0], -1, p))), "little")
-        else:
-            inv = pow(piv & mask, -1, p)
-            piv = _pack([(piv >> s & mask) * inv % p for s in range(0, (n_cols - c) * w, w)], w)
-        piv <<= shift
+        inv = pow(piv & mask, -1, p)
+        piv = _pack([(piv >> s & mask) * inv % p for s in range(0, (n_cols - c) * w, w)], w) << shift
         packed[r] = piv
         for i in range(n_rows):
             if i != r:
@@ -338,40 +303,8 @@ def _rref_mod_p(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[in
         r += 1
         if r == n_rows:
             break
-    if size == 1:
-        table = _byte_times(p, 1)
-        return [list(v.to_bytes(length, "little").translate(table)) for v in packed], pivots
     shifts = range(0, n_cols * w, w)
     return [[(v >> s & mask) % p for s in shifts] for v in packed], pivots
-
-
-def _rref_mod_p_lists(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    """GF(p) Gauss-Jordan on lists, for fewer than ``_PACKED_MIN_K``
-    pivots: scale the pivot row's suffix, update other rows' suffixes, skip
-    rows whose multiplier is zero."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        inv = pow(piv[c], -1, p)
-        tail = [x * inv % p for x in piv[c:]]
-        rows[r] = piv[:c] + tail
-        for i in range(n_rows):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
 
 
 # The certified modular route over Q: one prime, and the bound within which

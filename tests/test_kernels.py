@@ -203,14 +203,13 @@ def test_kernels_match_reference_hypothesis(case):
 
 # -- the packed GF(p) kernel --------------------------------------------------
 #
-# _rref_mod_p packs each row into one int and reduces slots only when read,
-# for k = min(rows, cols) >= core._PACKED_MIN_K; below that the list kernel
-# runs.  The cases straddle that rule, reach k = 64, and include the inputs
-# that drive a slot to its bound p - 1 + k·(p - 1)².
+# _rref_mod_p packs each row into one int and reduces slots only when read;
+# the slot width grows with k = min(rows, cols).  The cases run from k = 1
+# to k = 64 and include the inputs that drive a slot to its bound
+# p - 1 + k·(p - 1)².
 
 PACKED_PRIMES = (3, 5, 65521, 2**31 - 1, 2**61 - 1, 2**127 - 1)
 PACKED_IDS = ["gf3", "gf5", "gf65521", "m31", "m61", "m127"]
-MIN_K = core._PACKED_MIN_K
 
 
 def max_growth_rows(p, n_rows, n_cols):
@@ -238,14 +237,14 @@ def with_zero_lines(rng, rows):
 
 
 def packed_cases(rng, p):
-    """Empty and degenerate shapes; k just below, at and above the size
-    rule in square, wide and tall shapes, full-rank, rank-deficient and with
-    zero rows and columns; larger shapes up to k = 64; all entries p - 1;
-    and the maximal-growth rows, square, wide and tall."""
+    """Empty and degenerate shapes; k = 1 to 4 in square, wide and tall
+    shapes, full-rank, rank-deficient and with zero rows and columns; larger
+    shapes up to k = 64; all entries p - 1; and the maximal-growth rows,
+    square, wide and tall."""
     yield []
     yield [[] for _ in range(4)]
     yield [[0] * 5 for _ in range(4)]
-    for k in (MIN_K - 1, MIN_K, MIN_K + 1):
+    for k in (1, 2, 3, 4):
         for n_rows, n_cols in ((k, k), (k, 3 * k), (3 * k, k)):
             yield rand_rows(rng, p, n_rows, n_cols, SMALL)
             yield rand_rows(rng, p, n_rows, n_cols, SMALL, rank=rng.randint(0, k - 1))
@@ -254,9 +253,9 @@ def packed_cases(rng, p):
         yield rand_rows(rng, p, n_rows, n_cols, SMALL, rank=min(n_rows, n_cols) * 3 // 4)
     yield rand_rows(rng, p, 64, 64, SMALL)
     yield with_zero_lines(rng, rand_rows(rng, p, 24, 30, SMALL))
-    for n_rows, n_cols in ((MIN_K, MIN_K), (20, 7), (64, 64)):
+    for n_rows, n_cols in ((3, 3), (20, 7), (64, 64)):
         yield [[p - 1] * n_cols for _ in range(n_rows)]
-    for n_rows, n_cols in ((MIN_K + 1, MIN_K), (16, 16), (17, 16), (33, 32), (20, 48), (70, 64)):
+    for n_rows, n_cols in ((4, 3), (16, 16), (17, 16), (33, 32), (20, 48), (70, 64)):
         yield max_growth_rows(p, n_rows, n_cols)
 
 
