@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import random
 import sys
@@ -152,8 +153,10 @@ def _emit_certificate(path: Optional[str], cert) -> None:
     replaces the target in one step: a failure, or a power loss, leaves
     either the earlier certificate or the complete new one, and a failure
     removes the temporary file."""
-    if not path:
+    if path is None:
         return
+    if not path:
+        raise FormatError("--emit-cert: empty path")
     text = render_certificate(cert)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
@@ -213,7 +216,9 @@ def _cmd_steinitz(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.cert:
+    if args.cert is not None:
+        if not args.cert:
+            raise FormatError("--cert: empty path")
         cert = parse_certificate_file(args.cert)
         if check_certificate(cert):
             print("certificate ok")
@@ -310,13 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``parse_args`` leaves the parser as it found it, and argparse formats and
+# prints every message at call time, so one parser serves every ``main``
+# call in a process; it is built on the first one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    if args.command == "oracle-check" and not args.cert and args.random <= 0:
+    if args.command == "oracle-check" and args.cert is None and args.random <= 0:
         print("oracle-check needs --cert or --random N", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -9,8 +9,12 @@ outside a comment is an error; ``#`` starts a comment)::
     1 0
     0 1
 
-Rows are the vectors of the sequence.  Scalars use the canonical literal
-syntax of their field (rationals additionally admit ``a/b``).
+Rows are the vectors of the sequence.  A row holds exactly ``cols``
+literals separated by spaces or tabs.  Over GF(p) a literal is an ASCII
+signed integer, ``[+-]?[0-9]+``, read mod p; over Q it may add an ASCII
+unsigned, non-zero denominator, ``[+-]?[0-9]+(/[0-9]+)?``.  Nothing else
+is a literal: no ``_``, no non-ASCII digit, no second sign, and no
+integer past ``int()``'s digit limit.
 
 Certificate file::
 
@@ -35,6 +39,7 @@ level's frames and are not serialized.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import List, Tuple
 
 from .core import Matrix, VecSequence, Vector
@@ -55,6 +60,11 @@ _INT = re.compile(r"[+-]?[0-9]+", re.ASCII)
 # ASCII text for the ASCII members is much faster than the regex.
 _OTHER_SPACE = re.compile(r"[^\S \t\n]")
 _OTHER_ASCII_SPACE = [c for c in map(chr, range(128)) if _OTHER_SPACE.match(c)]
+# A whole data row of GF(p) literals, or of Q literals, separated by spaces
+# or tabs.  A row that matches is converted in bulk; any other row goes
+# token by token through ``Field.parse_value``, which names the bad token.
+_GF_ROW = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*", re.ASCII)
+_Q_ROW = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?(?:[ \t]+[+-]?[0-9]+(?:/[0-9]+)?)*", re.ASCII)
 
 
 def _header_int(lineno: int, token: str, line: str) -> int:
@@ -100,10 +110,23 @@ def _parse_field_line(lineno: int, line: str) -> Field:
     raise FormatError(f"line {lineno}: expected 'field gf <p>' or 'field q', got {line!r}")
 
 
+def _fraction(token: str) -> Fraction:
+    num, _, den = token.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 def _parse_row(field: Field, lineno: int, line: str, width: int) -> tuple:
     toks = line.split()
     if len(toks) != width:
         raise FormatError(f"line {lineno}: expected {width} entries, got {len(toks)}")
+    p = field.modulus
+    try:
+        if p is not None and _GF_ROW.fullmatch(line):
+            return tuple([int(t) % p for t in toks])
+        if p is None and _Q_ROW.fullmatch(line):
+            return tuple(map(_fraction, toks))
+    except (ValueError, ZeroDivisionError):
+        pass  # a literal past int()'s digit limit, or a zero denominator
     try:
         return tuple(map(field.parse_value, toks))
     except ValueError as exc:

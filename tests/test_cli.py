@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactspan import GF, QQ, Frame, VecSequence, is_frame, lin_comb, sequence, verify_basic_lemma
+from exactspan import cli
 from exactspan.cli import main
 from exactspan.lemma import check_certificate
 from exactspan.randgen import random_invertible_matrix
@@ -66,9 +68,46 @@ def test_golden(capsys, name, argv, expected_code):
 
 @pytest.mark.parametrize("name,argv,expected_code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_determinism(capsys, name, argv, expected_code):
-    _, first, _ = run(capsys, *argv)
-    _, second, _ = run(capsys, *argv)
-    assert first == second
+    assert run(capsys, *argv) == run(capsys, *argv)
+
+
+REUSE_ARGVS = [
+    ["rank"],  # missing required flag
+    ["member", "-s"],  # flag without its value
+    ["no-such-command"],
+    [],
+    ["--version"],
+    ["--help"],
+    ["verify-lemma", "--help"],
+    ["oracle-check", "--random", "x"],  # bad type=int
+    ["oracle-check"],
+]
+
+
+@pytest.mark.parametrize("argv", REUSE_ARGVS, ids=" ".join)
+def test_parser_reuse_matches_a_fresh_parser(capsys, argv):
+    cli._parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert run(capsys, *argv) == fresh
+    assert run(capsys, *argv) == fresh
+
+
+def test_main_builds_one_parser_tree(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argvs = [argv for _, argv, _ in GOLDEN_CASES[:16]] + REUSE_ARGVS[:4]
+    for argv in argvs:
+        main(argv)
+    capsys.readouterr()
+    assert len(argvs) == 20
+    assert len(built) <= 11  # the top-level parser and its 10 subcommands
 
 
 def test_emitted_certificate_revalidates(capsys, tmp_path):
@@ -125,13 +164,19 @@ def test_tampered_certificate_rejected(capsys, tmp_path):
         ["no-such-command"],
         ["member", "-s", fx("e2_gf2.mat")],  # missing -x
         ["oracle-check"],  # neither --cert nor --random
+        ["verify-lemma", "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"), "--emit-cert", ""],
+        ["trace", "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"), "--emit-cert", ""],
+        ["oracle-check", "--cert", "", "--random", "2"],
     ],
     ids=["missing", "bad_dims", "bad_scalar", "bad_field", "frac_in_gf",
-         "vector_shape", "unknown_cmd", "missing_flag", "oracle_no_mode"],
+         "vector_shape", "unknown_cmd", "missing_flag", "oracle_no_mode",
+         "empty_emit_cert_lemma", "empty_emit_cert_trace", "empty_cert"],
 )
 def test_input_errors_exit_2(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    if "" in argv:
+        assert err.startswith("error: ")
 
 
 def test_exit_1_never_used_for_io_problems(capsys):

@@ -2,11 +2,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactspan import GF, QQ, sequence, vector
 from exactspan.textio import (
     FormatError,
+    _parse_row,
     parse_certificate_text,
     parse_matrix_text,
     render_field,
@@ -267,3 +268,61 @@ def test_render_parse_round_trip_property(seq):
     text = render_sequence(seq)
     assert parse_matrix_text(text) == seq
     assert render_sequence(parse_matrix_text(text)) == text
+
+
+# Row tokens: signs, leading zeros, signed zeros, fractions (a zero
+# denominator, and in GF(p) any), and spellings int() alone would accept
+_ROW_TOKENS = ["0", "1", "-1", "+1", "+0", "-0", "007", "-007", "65520", "65521", "-65522",
+               "1/2", "-7/3", "+4/6", "0/5", "1/0", "-0/1", "1_0", "\u0661", "+-1", "--1",
+               "1/-2", "1/+2", "1/", "/2", "1.5", "x", "9" * 4300, "1" * 4301, "1" * 4301 + "/2",
+               "2/" + "3" * 4301]
+_ROW_SEPS = [" ", "\t", "  ", " \t "]
+
+
+def _reference_row(field, lineno, line, width):
+    """``_parse_row`` as one ``Field.parse_value`` call per token."""
+    toks = line.split()
+    if len(toks) != width:
+        raise FormatError(f"line {lineno}: expected {width} entries, got {len(toks)}")
+    try:
+        return tuple(field.parse_value(t) for t in toks)
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+
+
+@st.composite
+def rows(draw):
+    """Literals of the field with at most one token from the list above
+    among them, and now and then a wrong width or a leading separator."""
+    field = draw(st.sampled_from(_FIELDS))
+    literal = st.integers(-10**30, 10**30).map(str)
+    if field is QQ:
+        literal = st.one_of(literal, st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 99)))
+    toks = draw(st.lists(literal, max_size=6))
+    if draw(st.booleans()):
+        toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(_ROW_TOKENS)))
+    line = "".join(t + draw(st.sampled_from(_ROW_SEPS)) for t in toks).strip(" \t")
+    if draw(st.integers(0, 9)) == 0:
+        line = draw(st.sampled_from(_ROW_SEPS)) + line
+    width = draw(st.integers(0, 7)) if draw(st.integers(0, 9)) == 0 else len(toks)
+    return field, line, width
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows())
+@example((QQ, "1/2\t-0 1/0", 3))
+@example((GF(5), "+0 1/2", 2))
+@example((GF(65521), "-1 " + "1" * 4301, 2))
+@example((QQ, "2/" + "3" * 4301, 1))
+def test_row_parse_matches_per_token_parse(case):
+    field, line, width = case
+    try:
+        want = _reference_row(field, 7, line, width)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            _parse_row(field, 7, line, width)
+        assert str(got.value) == str(exc)
+    else:
+        got = _parse_row(field, 7, line, width)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
