@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import os
 import random
@@ -26,12 +27,7 @@ from .lemma import (
     trace_induction,
     verify_basic_lemma,
 )
-from .oracle import (
-    DEFAULT_BUDGET,
-    EnumerationBudget,
-    member_bruteforce,
-    rank_bruteforce,
-)
+from .oracle import DEFAULT_BUDGET, member_bruteforce, rank_bruteforce
 from .randgen import random_sequence, random_vector
 from .spans import (
     Frame,
@@ -136,7 +132,7 @@ def _cmd_change_basis(args) -> int:
     e, f = _load_frame_pair(args.e, "e", args.f, "f")
     try:
         a, a_inv = change_of_basis(e, f)
-    except (ValueError, NotAFrameError) as exc:
+    except ValueError as exc:
         print(f"no change of basis: {exc}")
         return EXIT_NEGATIVE
     print("A")
@@ -177,7 +173,7 @@ def _cmd_verify_lemma(args) -> int:
     e, f = _load_frame_pair(args.e, "e", args.f, "f")
     try:
         cert = verify_basic_lemma(e, f)
-    except (ValueError, NotAFrameError) as exc:
+    except ValueError as exc:
         print(f"lemma preconditions fail: {exc}")
         return EXIT_NEGATIVE
     if not check_certificate(cert):
@@ -193,7 +189,7 @@ def _cmd_trace(args) -> int:
     e, f = _load_frame_pair(args.e, "e", args.f, "f")
     try:
         trace = trace_induction(e, f)
-    except (ValueError, NotAFrameError) as exc:
+    except ValueError as exc:
         print(f"lemma preconditions fail: {exc}")
         return EXIT_NEGATIVE
     _emit_certificate(args.emit_cert, trace.final_certificate)
@@ -205,7 +201,7 @@ def _cmd_steinitz(args) -> int:
     basis, fr = _load_frame_pair(args.basis, "basis", args.frame, "frame")
     try:
         extended, picked, r = steinitz_extend(basis, fr)
-    except (ValueError, NotAFrameError) as exc:
+    except ValueError as exc:
         print(f"steinitz preconditions fail: {exc}")
         return EXIT_NEGATIVE
     print(" ".join(["picked"] + [str(i) for i in picked]))
@@ -217,19 +213,13 @@ def _cmd_steinitz(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     if args.cert is not None:
-        if not args.cert:
-            raise FormatError("--cert: empty path")
         cert = parse_certificate_file(args.cert)
         if check_certificate(cert):
             print("certificate ok")
             return EXIT_OK
         print("certificate invalid")
         return EXIT_NEGATIVE
-    budget = EnumerationBudget(
-        max_field_size=args.budget,
-        max_ambient_dim=DEFAULT_BUDGET.max_ambient_dim,
-        max_sequence_len=DEFAULT_BUDGET.max_sequence_len,
-    )
+    budget = dataclasses.replace(DEFAULT_BUDGET, max_field_size=args.budget)
     rng = random.Random(args.seed)
     fields = [GF(p) for p in (2, 3, 5) if p <= args.budget]
     if not fields:
@@ -331,7 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (FormatError, NotAFrameError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

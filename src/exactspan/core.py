@@ -9,7 +9,8 @@ row of a :class:`Matrix`, holds raw canonical values of one interned field
 arithmetic work on them, and :func:`vector`, :func:`sequence` and
 :func:`matrix` canonicalise their input into them.  Scalars are made only by the
 accessors (``entries``, ``m[(i, j)]``) and for the coefficients
-``solve_many`` returns.  There is one kernel per kind of field: bit-packed
+``solve_many`` returns; the library's own solves read the same answers
+raw from ``solve_raw``.  There is one kernel per kind of field: bit-packed
 rows eliminated by XOR over GF(2); over GF(p), Gauss-Jordan on rows packed
 into one int each, w-bit slots reduced mod p only when read, so that a row
 update is one big-int multiply-add; and over the rationals, once rows are
@@ -570,8 +571,9 @@ def solve_in_span(seq: VecSequence, target: Vector) -> Optional[Tuple[Scalar, ..
     return sols[0]
 
 
-def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tuple[Scalar, ...]]]:
-    """solve_in_span for several targets with a single elimination."""
+def solve_raw(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tuple[Union[int, Fraction], ...]]]:
+    """The answers of :func:`solve_many` as raw canonical values, from the
+    same single elimination."""
     field = seq.field
     n = len(seq)
     for t in targets:
@@ -583,8 +585,8 @@ def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tup
     red = reduced_form(aug)
     rows = red.matrix.values
     seq_pivots = [c for c in red.pivots if c < n]
-    zero = field.zero
-    out: List[Optional[Tuple[Scalar, ...]]] = []
+    zero = field.canon(0)
+    out: List[Optional[Tuple[Union[int, Fraction], ...]]] = []
     for k in range(len(targets)):
         col = n + k
         # target is reachable iff its column never becomes a pivot *for the
@@ -595,9 +597,15 @@ def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tup
             continue
         coeffs = [zero] * n
         for row_idx, c in enumerate(seq_pivots):
-            coeffs[c] = Scalar(field, rows[row_idx][col])
+            coeffs[c] = rows[row_idx][col]
         out.append(tuple(coeffs))
     return out
+
+
+def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tuple[Scalar, ...]]]:
+    """solve_in_span for several targets with a single elimination."""
+    field = seq.field
+    return [None if c is None else tuple(Scalar(field, x) for x in c) for c in solve_raw(seq, targets)]
 
 
 def kernel_basis(m: Matrix) -> VecSequence:

@@ -20,11 +20,9 @@ from .core import (
     identity,
     kernel_basis,
     lin_comb,
-    matrix,
     matrix_from_columns,
     reduced_form,
-    solve_many,
-    vector,
+    solve_raw,
     zero_vector,
 )
 from .field import Field
@@ -57,7 +55,7 @@ class LinearMap:
 
 
 def _require_f_in_span_of_e(e: Frame, f: Frame) -> None:
-    if any(c is None for c in solve_many(e.seq, tuple(f.seq))):
+    if any(c is None for c in solve_raw(e.seq, tuple(f.seq))):
         raise ValueError("f is not contained in the span of e")
 
 
@@ -79,8 +77,7 @@ def build_annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
 
 
 def apply_map(lmap: LinearMap, x: Vector) -> Vector:
-    coords = coordinates(lmap.domain_frame, x)
-    return lin_comb(lmap.images, tuple(coords))
+    return lin_comb(lmap.images, coordinates(lmap.domain_frame, x))
 
 
 def restricted_kernel_witness(lmap: LinearMap, sub: Subspace) -> Optional[Vector]:
@@ -92,14 +89,14 @@ def restricted_kernel_witness(lmap: LinearMap, sub: Subspace) -> Optional[Vector
     """
     dom = lmap.domain_frame
     basis = sub.canonical_basis
-    sols = solve_many(dom.seq, tuple(basis))
+    sols = solve_raw(dom.seq, tuple(basis))
     if any(c is None for c in sols):
         raise ValueError("subspace is not contained in the domain span")
     if len(basis) == 0:
         return None
     # domain coordinates of each basis vector; the map is linear, so these
     # also give the images and the witness's own domain coordinates
-    dom_coords = VecSequence(lmap.field, len(dom), tuple(vector(lmap.field, c) for c in sols))
+    dom_coords = VecSequence(lmap.field, len(dom), tuple(Vector(lmap.field, c) for c in sols))
     images = tuple(lin_comb(lmap.images, c) for c in sols)
     ker = kernel_basis(matrix_from_columns(VecSequence(lmap.field, lmap.images.ambient_dim, images)))
     if len(ker) == 0:
@@ -126,11 +123,10 @@ def verify_basic_lemma(e: Frame, f: Frame) -> InclusionCertificate:
     if len(f) != n:
         raise ValueError("frames must have equal length")
     _require_f_in_span_of_e(e, f)
-    cols = solve_many(f.seq, tuple(e.seq))
+    cols = solve_raw(f.seq, tuple(e.seq))
     if any(c is None for c in cols):
         raise NotAFrameError("inclusion system unsolvable; inputs were not valid frames")
-    c = matrix(e.field, [[cols[i][j] for i in range(n)] for j in range(n)], cols=n)
-    return InclusionCertificate(e, f, c)
+    return InclusionCertificate(e, f, Matrix(e.field, n, n, tuple(zip(*cols))))
 
 
 def check_certificate(cert: InclusionCertificate) -> bool:
@@ -199,12 +195,12 @@ def _level_witnesses(
     zeroed, so column i of X^-1 spans its kernel: one inversion gives every
     witness.  Each is checked by substitution before it is recorded."""
     field, k = ek.field, len(ek)
-    x_cols = solve_many(ek.seq, tuple(basis))
+    x_cols = solve_raw(ek.seq, tuple(basis))
     if any(c is None for c in x_cols):
         raise NotAFrameError(_NO_WITNESS)
-    x = VecSequence(field, k, tuple(vector(field, c) for c in x_cols))
+    x = VecSequence(field, k, tuple(Vector(field, c) for c in x_cols))
     units = tuple(Vector(field, row) for row in identity(field, k).values)
-    x_inv_cols = solve_many(x, units)
+    x_inv_cols = solve_raw(x, units)
     if any(y is None for y in x_inv_cols):
         raise NotAFrameError(_NO_WITNESS)
     maps = tuple(_annihilating_map(ek, fk, i) for i in range(k))
@@ -232,19 +228,14 @@ def trace_induction(e: Frame, f: Frame) -> ProofTrace:
     levels: List[TraceLevel] = []
     for k in range(1, n + 1):
         ek, fk, basis = _level_instance(e, f, k)
-        if k == 1:
-            lam = coordinates(fk, ek[0])
-            cmat = matrix(e.field, [[lam.coeffs[0]]], cols=1)
-            levels.append(TraceLevel(1, ek, fk, (), (), cmat))
-            continue
-        maps, witnesses = _level_witnesses(ek, fk, basis)
-        # normalized witness i is exactly ek[i]; its f-coordinates give
-        # column i of the inclusion matrix
-        cols = solve_many(fk.seq, witnesses)
+        maps, witnesses = _level_witnesses(ek, fk, basis) if k > 1 else ((), ())
+        # level 1 has no maps and solves for ek[0] itself; above it,
+        # normalized witness i is exactly ek[i].  Their f-coordinates give
+        # the columns of the inclusion matrix
+        cols = solve_raw(fk.seq, witnesses if k > 1 else tuple(ek.seq))
         if any(c is None for c in cols):
             raise NotAFrameError("inclusion system unsolvable; inputs were not valid frames")
-        cmat = matrix(e.field, [[cols[i][j] for i in range(k)] for j in range(k)], cols=k)
-        levels.append(TraceLevel(k, ek, fk, maps, witnesses, cmat))
+        levels.append(TraceLevel(k, ek, fk, maps, witnesses, Matrix(e.field, k, k, tuple(zip(*cols)))))
     return ProofTrace(tuple(levels))
 
 

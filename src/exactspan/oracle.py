@@ -3,9 +3,11 @@ finite fields.
 
 Everything here enumerates: spans are computed as the set of all linear
 combinations, membership by trying every coefficient tuple, rank as the
-longest subsequence whose only vanishing combination is trivial.  The
-oracle deliberately shares only scalar arithmetic with the engine so that
-agreement between the two is a meaningful cross-check.
+longest subsequence whose only vanishing combination is trivial.  It
+computes on residues mod p with plain int arithmetic and makes no
+``Scalar``; besides the vector containers it takes from the engine only
+the canonical basis from which ``maximality_bruteforce`` enumerates a
+subspace, so that agreement between the two is a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Tuple
 
-from .core import VecSequence, Vector, vector, zero_vector
-from .field import Field, Scalar
+from .core import VecSequence, Vector
+from .field import Field
 from .spans import Frame, Subspace
 
 
@@ -50,18 +52,18 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _combine(seq: VecSequence, coeffs: Tuple[Scalar, ...]) -> Vector:
-    # scalar multiply/add only; independent of the elimination engine
-    entries = [seq.field.zero] * seq.ambient_dim
+def _combine(seq: VecSequence, coeffs: Tuple[int, ...]) -> Vector:
+    # residue multiply/add, reduced mod p once; independent of the engine
+    p = seq.field.modulus
+    acc = [0] * seq.ambient_dim
     for c, v in zip(coeffs, seq):
         if c:
-            entries = [a + c * b for a, b in zip(entries, v.entries)]
-    return vector(seq.field, entries)
+            acc = [a + c * b for a, b in zip(acc, v.values)]
+    return Vector(seq.field, tuple(a % p for a in acc))
 
 
-def _coeff_tuples(field: Field, n: int) -> Iterator[Tuple[Scalar, ...]]:
-    scalars = [field.scalar(i) for i in range(field.modulus)]
-    return itertools.product(scalars, repeat=n)
+def _coeff_tuples(field: Field, n: int) -> Iterator[Tuple[int, ...]]:
+    return itertools.product(range(field.modulus), repeat=n)
 
 
 def enum_span(seq: VecSequence, budget: EnumerationBudget = DEFAULT_BUDGET) -> FrozenSet[Vector]:
@@ -79,7 +81,7 @@ def member_bruteforce(
 
 
 def _independent_bruteforce(seq: VecSequence) -> bool:
-    zero = zero_vector(seq.field, seq.ambient_dim)
+    zero = Vector(seq.field, (0,) * seq.ambient_dim)
     for c in _coeff_tuples(seq.field, len(seq)):
         if any(c) and _combine(seq, c) == zero:
             return False
@@ -106,10 +108,7 @@ def maximality_bruteforce(
     """Quantified definition of maximality: no sequence of length <= max_len
     drawn from the subspace exceeds the frame's rank."""
     budget.check(sub.field, sub.ambient_dim, max_len)
-    vectors = sorted(
-        enum_span(sub.canonical_basis, budget),
-        key=lambda v: tuple(str(e) for e in v.entries),
-    )
+    vectors = sorted(enum_span(sub.canonical_basis, budget), key=lambda v: v.values)
     if len(vectors) ** max_len > 10**6:
         raise BudgetExceededError("sequence enumeration would exceed 10^6 elements")
     for length in range(1, max_len + 1):

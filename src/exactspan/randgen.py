@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .core import Matrix, VecSequence, Vector, lin_comb, matrix, rank_matrix, vector
 from .field import Field, Scalar

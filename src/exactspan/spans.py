@@ -23,13 +23,12 @@ from .core import (
     VecSequence,
     Vector,
     mat_product,
-    matrix,
     matrix_from_columns,
     matrix_from_rows,
     rank_matrix,
     reduced_form,
-    solve_in_span,
     solve_many,
+    solve_raw,
 )
 from .field import Field, Scalar
 
@@ -80,17 +79,6 @@ class Frame:
         return iter(self.seq)
 
 
-@dataclass(frozen=True)
-class Coordinates:
-    coeffs: Tuple[Scalar, ...]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """The span of ``generators``.  Its canonical basis, the unique
@@ -114,10 +102,10 @@ class Subspace:
         return rank_seq(self.generators) if basis is None else len(basis)
 
     def contains(self, x: Vector) -> bool:
-        return member(self, x) is not None
+        return solve_raw(self.canonical_basis, (x,))[0] is not None
 
     def contains_seq(self, seq: VecSequence) -> bool:
-        return all(c is not None for c in solve_many(self.canonical_basis, tuple(seq)))
+        return all(c is not None for c in solve_raw(self.canonical_basis, tuple(seq)))
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_seq(self.canonical_basis)
@@ -141,10 +129,9 @@ def span_of(seq: VecSequence) -> Subspace:
     return Subspace(seq.field, seq.ambient_dim, seq)
 
 
-def member(sub: Subspace, x: Vector) -> Optional[Coordinates]:
+def member(sub: Subspace, x: Vector) -> Optional[Tuple[Scalar, ...]]:
     """Coordinates of ``x`` relative to the canonical basis, if x lies in sub."""
-    coeffs = solve_in_span(sub.canonical_basis, x)
-    return None if coeffs is None else Coordinates(coeffs)
+    return solve_many(sub.canonical_basis, (x,))[0]
 
 
 def is_maximal_in(fr: Frame, sub: Subspace) -> bool:
@@ -165,7 +152,7 @@ def extend_frame(fr: Frame, sub: Subspace) -> Vector:
     if not sub.contains_seq(fr.seq):
         raise ValueError("frame is not contained in the subspace")
     basis = sub.canonical_basis
-    sols = solve_many(fr.seq, tuple(basis))
+    sols = solve_raw(fr.seq, tuple(basis))
     for v, sol in zip(basis, sols):
         if sol is None:
             return v
@@ -186,12 +173,12 @@ def dimension(sub: Subspace) -> int:
     return sub.dim
 
 
-def coordinates(basis: Frame, x: Vector) -> Coordinates:
+def coordinates(basis: Frame, x: Vector) -> Tuple[Scalar, ...]:
     """The unique coefficients with lin_comb(basis.seq, coeffs) = x."""
-    coeffs = solve_in_span(basis.seq, x)
+    coeffs = solve_many(basis.seq, (x,))[0]
     if coeffs is None:
         raise ValueError("vector lies outside the span of the basis")
-    return Coordinates(coeffs)
+    return coeffs
 
 
 def change_of_basis(e: Frame, f: Frame) -> Tuple[Matrix, Matrix]:
@@ -201,15 +188,14 @@ def change_of_basis(e: Frame, f: Frame) -> Tuple[Matrix, Matrix]:
     n = len(e)
     if len(f) != n:
         raise ValueError("frames must have equal length")
-    cols_a = solve_many(e.seq, tuple(f.seq))
+    cols_a = solve_raw(e.seq, tuple(f.seq))
     if any(c is None for c in cols_a):
         raise ValueError("some f_j lies outside the span of e")
-    cols_ainv = solve_many(f.seq, tuple(e.seq))
+    cols_ainv = solve_raw(f.seq, tuple(e.seq))
     if any(c is None for c in cols_ainv):
         raise NotAFrameError("some e_i is not reachable from f; inputs were not equal-span frames")
-    field = e.field
-    a = matrix(field, [[cols_a[j][i] for j in range(n)] for i in range(n)], cols=n)
-    a_inv = matrix(field, [[cols_ainv[j][i] for j in range(n)] for i in range(n)], cols=n)
+    a = Matrix(e.field, n, n, tuple(zip(*cols_a)))
+    a_inv = Matrix(e.field, n, n, tuple(zip(*cols_ainv)))
     if not mat_product(a, a_inv).is_identity() or not mat_product(a_inv, a).is_identity():
         raise AssertionError("change-of-basis pair failed the identity check")
     return a, a_inv

@@ -159,6 +159,8 @@ def parse_matrix_text(text: str) -> VecSequence:
 def _read(path: str) -> str:
     """The file's text with its line endings untranslated (``newline=""``),
     so that only ``\\n`` and ``\\r\\n`` end a line."""
+    if not path:
+        raise FormatError("empty file path")
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()

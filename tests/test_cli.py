@@ -167,16 +167,19 @@ def test_tampered_certificate_rejected(capsys, tmp_path):
         ["verify-lemma", "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"), "--emit-cert", ""],
         ["trace", "-e", fx("e2_gf2.mat"), "-f", fx("f2_gf2.mat"), "--emit-cert", ""],
         ["oracle-check", "--cert", "", "--random", "2"],
+        ["rank", "-s", ""],
+        ["member", "-s", fx("e2_gf2.mat"), "-x", ""],
     ],
     ids=["missing", "bad_dims", "bad_scalar", "bad_field", "frac_in_gf",
          "vector_shape", "unknown_cmd", "missing_flag", "oracle_no_mode",
-         "empty_emit_cert_lemma", "empty_emit_cert_trace", "empty_cert"],
+         "empty_emit_cert_lemma", "empty_emit_cert_trace", "empty_cert",
+         "empty_sequence_path", "empty_vector_path"],
 )
 def test_input_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     if "" in argv:
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and not err.startswith("error: :")
 
 
 def test_exit_1_never_used_for_io_problems(capsys):

@@ -25,11 +25,19 @@ from exactspan import (
     Scalar,
     VecSequence,
     basis_from_generators,
+    Frame,
     change_of_basis,
+    coordinates,
     dimension,
+    enum_span,
+    extend_frame,
     is_maximal_in,
+    member,
+    member_bruteforce,
+    rank_bruteforce,
     rank_seq,
     sequence,
+    solve_in_span,
     span_of,
     steinitz_extend,
     trace_induction,
@@ -264,3 +272,20 @@ def test_engine_makes_no_field_scalar_calls(scalar_calls, scalars_made):
             assert scalars_made(matrix_from_rows, seq) == 0
             assert scalars_made(matrix_from_columns, seq) == 0
             assert scalars_made(parse_matrix_text, text) == 0
+            assert scalars_made(span_of(seq).contains_seq, VecSequence(field, m, targets)) == 0
+    for field in (GF(2), GF(3), GF(5)):
+        seq, x = random_sequence(field, 3, 4, rng), random_vector(field, 3, rng)
+        assert scalars_made(enum_span, seq) == 0
+        assert scalars_made(member_bruteforce, seq, x) == 0
+        assert scalars_made(rank_bruteforce, seq) == 0
+    for e, f in frame_pairs(7, count=3):
+        head = Frame(VecSequence(e.field, e.ambient_dim, e.seq.items[:-1]))
+        sub = span_of(f.seq)
+        assert scalars_made(extend_frame, head, sub) == 0
+        assert scalars_made(change_of_basis, e, f) == 0
+        assert scalars_made(verify_basic_lemma, e, f) == 0
+        # the public solves all box the same coefficients into one plain tuple
+        basis, x = sub.canonical_basis, f[-1]
+        answers = (member(sub, x), coordinates(Frame(basis), x), solve_in_span(basis, x))
+        assert all(type(a) is tuple and all(type(c) is Scalar for c in a) for a in answers)
+        assert answers[0] == answers[1] == answers[2]

@@ -1,6 +1,8 @@
 """The package is pure Python with no runtime dependencies: every import in
 ``src/exactspan`` is either from the standard library or relative to the
 package.  numpy, sympy and friends may appear in tests and benchmarks only.
+Every name a module imports is also read in it, except in ``__init__.py``,
+which imports names to re-export them.
 
 It also runs on Python 3.10 (``requires-python``): ``int.to_bytes`` and
 ``int.from_bytes`` gained their default ``byteorder`` (and ``to_bytes`` its
@@ -14,6 +16,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "exactspan"
 MODULES = sorted(SRC.glob("*.py"))
+NON_INIT = [p for p in MODULES if p.name != "__init__.py"]
 
 
 def foreign_imports(tree: ast.AST):
@@ -100,3 +103,37 @@ def test_guard_flags_implicit_byte_conversions():
         (5, "to_bytes"), (6, "to_bytes"), (7, "to_bytes"), (8, "from_bytes"), (9, "from_bytes"),
         (10, "to_bytes"), (11, "from_bytes"), (12, "from_bytes"),
     ]
+
+
+def unused_imports(tree: ast.AST):
+    """Names bound by an import (other than ``from __future__``) that the
+    module never reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", NON_INIT, ids=[p.name for p in NON_INIT])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(unused_imports(tree)) == []
+
+
+def test_guard_flags_unused_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import os.path\n"
+        "from typing import List, Optional as Opt\n"
+        "from .core import Vector, matrix\n"
+        "matrix = None\n"
+        "def f(v: Vector) -> List[int]:\n"
+        "    return sys.argv\n"
+    )
+    assert sorted(unused_imports(tree)) == [(2, "os"), (3, "os"), (4, "Opt"), (5, "matrix")]

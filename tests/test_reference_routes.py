@@ -85,7 +85,7 @@ def per_map_trace(e, f):
         fk = f if k == n else Frame(VecSequence(f.field, f.ambient_dim, f.seq.items[:k]))
         ek = e if k == n else Frame(span_of(fk.seq).canonical_basis)
         if k == 1:
-            levels.append((ek, fk, (), ((coordinates(fk, ek[0]).coeffs[0],),)))
+            levels.append((ek, fk, (), ((coordinates(fk, ek[0])[0],),)))
             continue
         fk_span = span_of(fk.seq)
         witnesses = tuple(
