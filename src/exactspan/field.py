@@ -69,10 +69,6 @@ class Field:
     def __reduce__(self):
         return Field, (self.modulus,)
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.modulus is not None
-
     def canon(self, value: Union[int, Fraction, str, "Scalar"]) -> Union[int, Fraction]:
         """The raw canonical value of an int, Fraction, literal string or
         Scalar in this field: an int in [0, p), or a Fraction in lowest terms."""

@@ -17,7 +17,6 @@ from .core import (
     Matrix,
     VecSequence,
     Vector,
-    identity,
     kernel_basis,
     lin_comb,
     matrix_from_columns,
@@ -30,7 +29,6 @@ from .spans import (
     Frame,
     NotAFrameError,
     Subspace,
-    coordinates,
     rank_seq,
     span_of,
 )
@@ -54,9 +52,14 @@ class LinearMap:
         return self.domain_frame.field
 
 
-def _require_f_in_span_of_e(e: Frame, f: Frame) -> None:
-    if any(c is None for c in solve_raw(e.seq, tuple(f.seq))):
+def _inclusion_columns(e: Frame, f: Frame) -> List[Optional[tuple]]:
+    """The f-coordinates of each e[i].  For frames of equal length, e inside
+    span(f) forces span(e) = span(f), so this one solve decides both
+    inclusions."""
+    cols = solve_raw(f.seq, tuple(e.seq))
+    if any(c is None for c in cols):
         raise ValueError("f is not contained in the span of e")
+    return cols
 
 
 def _annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
@@ -72,12 +75,15 @@ def build_annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
         raise ValueError("frames must have equal length")
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for frames of length {n}")
-    _require_f_in_span_of_e(e, f)
+    _inclusion_columns(e, f)
     return _annihilating_map(e, f, i)
 
 
 def apply_map(lmap: LinearMap, x: Vector) -> Vector:
-    return lin_comb(lmap.images, coordinates(lmap.domain_frame, x))
+    coeffs = solve_raw(lmap.domain_frame.seq, (x,))[0]
+    if coeffs is None:
+        raise ValueError("vector lies outside the span of the basis")
+    return lin_comb(lmap.images, coeffs)
 
 
 def restricted_kernel_witness(lmap: LinearMap, sub: Subspace) -> Optional[Vector]:
@@ -118,14 +124,12 @@ class InclusionCertificate:
 
 def verify_basic_lemma(e: Frame, f: Frame) -> InclusionCertificate:
     """Resolve the inclusion system 'every e[i] lies in the span of f' for
-    equal-length frames with f contained in span(e)."""
+    equal-length frames with f contained in span(e).  Both inclusions say
+    span(e) = span(f), so the solve for the coefficients checks it too."""
     n = len(e)
     if len(f) != n:
         raise ValueError("frames must have equal length")
-    _require_f_in_span_of_e(e, f)
-    cols = solve_raw(f.seq, tuple(e.seq))
-    if any(c is None for c in cols):
-        raise NotAFrameError("inclusion system unsolvable; inputs were not valid frames")
+    cols = _inclusion_columns(e, f)
     return InclusionCertificate(e, f, Matrix(e.field, n, n, tuple(zip(*cols))))
 
 
@@ -171,70 +175,54 @@ class ProofTrace:
         return InclusionCertificate(last.e, last.f, last.coefficient_matrix)
 
 
-def _level_instance(e: Frame, f: Frame, k: int) -> Tuple[Frame, Frame, VecSequence]:
+def _level_instance(e: Frame, f: Frame, k: int) -> Tuple[Frame, Frame]:
     """Sub-instance at induction level k: the k-prefix of f paired with the
-    canonical frame of its span; the top level is the original pair.  The
-    canonical basis of span(fk) comes third."""
+    canonical frame of its span; the top level is the original pair."""
     if k == len(f):
-        return e, f, span_of(f.seq).canonical_basis
+        return e, f
     fk = Frame(VecSequence(f.field, f.ambient_dim, f.seq.items[:k]))
-    basis = span_of(fk.seq).canonical_basis
-    return Frame(basis), fk, basis
+    return Frame(span_of(fk.seq).canonical_basis), fk
 
 
-_NO_WITNESS = "restriction has trivial kernel; inputs were not valid frames"
-
-
-def _level_witnesses(
-    ek: Frame, fk: Frame, basis: VecSequence
-) -> Tuple[Tuple[LinearMap, ...], Tuple[Vector, ...]]:
+def _level_witnesses(ek: Frame, fk: Frame) -> Tuple[Tuple[LinearMap, ...], Tuple[Vector, ...]]:
     """The k annihilating maps of one level and a kernel witness for each.
 
-    With X the ek-coordinates of the basis of span(fk), map i restricted to
-    that basis is D_i X in ek-coordinates, D_i the identity with entry i
-    zeroed, so column i of X^-1 spans its kernel: one inversion gives every
-    witness.  Each is checked by substitution before it is recorded."""
+    Map i sends ek[i] to zero and ek[j] to fk[j], j != i, which are
+    independent, so its kernel on span(ek) = span(fk) is the line through
+    ek[i]: the witness with ek-coordinate 1 is ek[i] itself, found without a
+    solve.  Substitution checks it is nonzero and map i sends its
+    ek-coordinates, unit vector i, to zero; the level's inclusion solve puts
+    it in span(fk)."""
     field, k = ek.field, len(ek)
-    x_cols = solve_raw(ek.seq, tuple(basis))
-    if any(c is None for c in x_cols):
-        raise NotAFrameError(_NO_WITNESS)
-    x = VecSequence(field, k, tuple(Vector(field, c) for c in x_cols))
-    units = tuple(Vector(field, row) for row in identity(field, k).values)
-    x_inv_cols = solve_raw(x, units)
-    if any(y is None for y in x_inv_cols):
-        raise NotAFrameError(_NO_WITNESS)
+    zero, one = field.canon(0), field.canon(1)
     maps = tuple(_annihilating_map(ek, fk, i) for i in range(k))
     witnesses: List[Vector] = []
-    for lmap, y in zip(maps, x_inv_cols):
-        witness = lin_comb(basis, y)
-        coords = lin_comb(x, y).values
-        if witness.is_zero() or not lin_comb(lmap.images, coords).is_zero():
-            raise NotAFrameError(_NO_WITNESS)
-        lead = next(c for c in coords if c)
-        witnesses.append(witness.scale(field.scalar(lead).inverse()))
+    for i, lmap in enumerate(maps):
+        unit = (zero,) * i + (one,) + (zero,) * (k - 1 - i)
+        if ek[i].is_zero() or not lin_comb(lmap.images, unit).is_zero():
+            raise NotAFrameError("restriction has trivial kernel; inputs were not valid frames")
+        witnesses.append(ek[i].scale(field.scalar(unit[i]).inverse()))
     return maps, tuple(witnesses)
 
 
 def trace_induction(e: Frame, f: Frame) -> ProofTrace:
     """Replay the inductive proof of the inclusion system, one level per
     rank from 1 to n; the top level works on the original frames and its
-    coefficients agree with verify_basic_lemma."""
+    coefficients agree with verify_basic_lemma.  As there, one solve decides
+    both inclusions; it runs first, so a failing pair builds no level."""
     n = len(e)
     if len(f) != n:
         raise ValueError("frames must have equal length")
     if n == 0:
         raise ValueError("empty frames have no inclusion system")
-    _require_f_in_span_of_e(e, f)
+    top = _inclusion_columns(e, f)
     levels: List[TraceLevel] = []
     for k in range(1, n + 1):
-        ek, fk, basis = _level_instance(e, f, k)
-        maps, witnesses = _level_witnesses(ek, fk, basis) if k > 1 else ((), ())
-        # level 1 has no maps and solves for ek[0] itself; above it,
-        # normalized witness i is exactly ek[i].  Their f-coordinates give
-        # the columns of the inclusion matrix
-        cols = solve_raw(fk.seq, witnesses if k > 1 else tuple(ek.seq))
-        if any(c is None for c in cols):
-            raise NotAFrameError("inclusion system unsolvable; inputs were not valid frames")
+        ek, fk = _level_instance(e, f, k)
+        # level 1 has no maps; above it, witness i is ek[i], so the
+        # f-coordinates of ek give the columns of the inclusion matrix
+        maps, witnesses = _level_witnesses(ek, fk) if k > 1 else ((), ())
+        cols = top if k == n else _inclusion_columns(ek, fk)
         levels.append(TraceLevel(k, ek, fk, maps, witnesses, Matrix(e.field, k, k, tuple(zip(*cols)))))
     return ProofTrace(tuple(levels))
 

@@ -48,7 +48,17 @@ def rank_seq(seq: VecSequence) -> int:
 
 
 def is_frame(seq: VecSequence) -> bool:
-    return rank_seq(seq) == len(seq)
+    """True iff ``seq`` is linearly independent.  A sequence in echelon
+    form (each vector nonzero, leading positions strictly increasing) is
+    independent, so a scan certifies canonical and standard bases without
+    elimination; any other sequence is decided by its rank."""
+    last = -1
+    for v in seq:
+        lead = next((j for j, x in enumerate(v.values) if x), last)
+        if lead <= last:
+            return rank_seq(seq) == len(seq)
+        last = lead
+    return True
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,17 @@ def test_failed_certificate_write_exits_2(capsys, tmp_path, command):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("field", ["gf 2", "gf 5", "q"])
+@pytest.mark.parametrize("command", ["verify-lemma", "trace"])
+def test_f_outside_span_of_e_exits_1_without_certificate(capsys, tmp_path, command, field):
+    e, f, target = tmp_path / "e.mat", tmp_path / "f.mat", tmp_path / "c.txt"
+    e.write_text(f"field {field}\ndims 2 3\n1 0 0\n0 1 0\n", encoding="utf-8")
+    f.write_text(f"field {field}\ndims 2 3\n1 0 0\n0 1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, command, "-e", str(e), "-f", str(f), "--emit-cert", str(target))
+    assert (code, out, err) == (1, "lemma preconditions fail: f is not contained in the span of e\n", "")
+    assert not target.exists()
+
+
 def test_vacuous_certificate_is_bad_input(capsys, tmp_path):
     cert_path = tmp_path / "cert.txt"
     cert_path.write_text("certificate\nfield gf 2\nambient -3\nlength 0\ne\nf\nC\nend\n")

@@ -6,12 +6,13 @@ reduced form (see ``test_kernels.py``), and the pins below count it as
 none.  Modules import ``reduced_form`` by name
 (``from .core import reduced_form``), so each of core, spans and lemma holds
 its own binding and the counter wraps all three.  Frames are built before
-counting starts: building a ``Frame`` checks independence with one
-elimination of its own.
+counting starts: building a ``Frame`` checks independence with at most one
+elimination of its own, none for a sequence in echelon form.
 
 The engine works on raw canonical values, so it makes no ``Field.scalar``
-call on inputs that are already built; a second counter wraps that method,
-and a third counts every ``Scalar`` constructed.
+call on inputs that are already built, except for the lead normalisation of
+each trace witness; a second counter wraps that method, and a third counts
+every ``Scalar`` constructed.
 """
 
 import random
@@ -24,6 +25,8 @@ from exactspan import (
     Field,
     Scalar,
     VecSequence,
+    apply_map,
+    build_annihilating_map,
     basis_from_generators,
     Frame,
     change_of_basis,
@@ -31,6 +34,7 @@ from exactspan import (
     dimension,
     enum_span,
     extend_frame,
+    is_frame,
     is_maximal_in,
     member,
     member_bruteforce,
@@ -81,9 +85,11 @@ def frame_pairs(seed, count=8, max_n=5):
             yield random_frame_pair(field, rng.randint(n, max_n + 1), n, rng)
 
 
-def test_verify_basic_lemma_makes_two(eliminations):
+def test_verify_basic_lemma_makes_one(eliminations):
+    """One solve finds the coefficients and, for frames of equal length,
+    also decides the precondition."""
     for e, f in frame_pairs(1):
-        assert eliminations(verify_basic_lemma, e, f) == 2
+        assert eliminations(verify_basic_lemma, e, f) == 1
 
 
 def test_change_of_basis_makes_two(eliminations):
@@ -138,10 +144,24 @@ def test_steinitz_extend_makes_at_most_two(eliminations):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_trace_induction_is_linear_in_n(eliminations, n):
+    """The top level makes one solve; each lower level checks its prefix
+    frame, builds the canonical basis of its span and makes one solve.  The
+    canonical frame is in echelon form, so checking it costs none."""
     rng = random.Random(6)
     for field in FIELDS:
         e, f = random_frame_pair(field, n + 1, n, rng)
-        assert eliminations(trace_induction, e, f) <= 7 * n
+        assert eliminations(trace_induction, e, f) <= 3 * n - 2
+
+
+def test_echelon_frames_need_no_rank(monkeypatch):
+    """A canonical or standard basis is certified by its echelon form."""
+    monkeypatch.setattr(spans, "rank_seq", lambda seq: pytest.fail("rank computed"))
+    rng = random.Random(14)
+    for field in FIELDS:
+        for m in range(7):
+            assert is_frame(sequence(field, [[int(i == j) for j in range(m)] for i in range(m)], ambient_dim=m))
+            basis = span_of(random_sequence(field, m, rng.randint(0, 8), rng)).canonical_basis
+            assert Frame(basis).seq is basis
 
 
 def test_span_of_makes_none(eliminations):
@@ -284,6 +304,11 @@ def test_engine_makes_no_field_scalar_calls(scalar_calls, scalars_made):
         assert scalars_made(extend_frame, head, sub) == 0
         assert scalars_made(change_of_basis, e, f) == 0
         assert scalars_made(verify_basic_lemma, e, f) == 0
+        lmap = build_annihilating_map(e, f, 0)
+        assert scalars_made(apply_map, lmap, f[-1]) == 0
+        # only the lead normalisation of each witness boxes a scalar
+        witnesses = sum(len(level.witnesses) for level in trace_induction(e, f).levels)
+        assert scalar_calls(trace_induction, e, f) <= witnesses
         # the public solves all box the same coefficients into one plain tuple
         basis, x = sub.canonical_basis, f[-1]
         answers = (member(sub, x), coordinates(Frame(basis), x), solve_in_span(basis, x))

@@ -136,6 +136,36 @@ def test_verify_basic_lemma_precondition():
         verify_basic_lemma(e, f)
 
 
+OUTSIDE = "f is not contained in the span of e"
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=str)
+@pytest.mark.parametrize("fn", [verify_basic_lemma, trace_induction], ids=lambda fn: fn.__name__)
+def test_equal_length_frames_outside_each_others_span(fn, field):
+    e = frame(field, [[1, 0, 0], [0, 1, 0]])
+    f = frame(field, [[1, 0, 0], [0, 1, 1]])
+    for a, b in ((e, f), (f, e)):
+        with pytest.raises(ValueError) as exc:
+            fn(a, b)
+        assert type(exc.value) is ValueError and str(exc.value) == OUTSIDE
+
+
+@pytest.mark.parametrize("fn", [verify_basic_lemma, trace_induction], ids=lambda fn: fn.__name__)
+def test_equal_length_precondition_is_span_equality(fn):
+    """For frames of equal length each inclusion holds exactly when the
+    spans are equal, so f outside span(e) is the only failure."""
+    rng = random.Random(31)
+    for field in (GF2, GF5, QQ):
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            e, f = random_frame(field, n + 1, n, rng), random_frame(field, n + 1, n, rng)
+            if span_of(e.seq) == span_of(f.seq):
+                fn(e, f)
+            else:
+                with pytest.raises(ValueError, match=f"^{OUTSIDE}$"):
+                    fn(e, f)
+
+
 def test_certificate_equals_change_of_basis_inverse():
     rng = random.Random(17)
     for field in (GF2, GF(3), QQ):
@@ -226,6 +256,20 @@ def test_trace_witness_validity_randomized():
                     assert all(not c for j, c in enumerate(coords) if j != i)
                     assert coords[i]
             assert check_certificate(trace.final_certificate)
+
+
+def test_trace_witnesses_are_the_level_frames():
+    """The kernel of map i on span(e) is the line through e[i], so the
+    normalized witness is e[i] itself at every level."""
+    rng = random.Random(29)
+    for field in (GF2, GF(3), GF5, QQ):
+        for _ in range(8):
+            n = rng.randint(1, 5)
+            e, f = random_frame_pair(field, rng.randint(n, 6), n, rng)
+            for level in trace_induction(e, f).levels:
+                assert len(level.witnesses) == (level.rank if level.rank > 1 else 0)
+                for i, w in enumerate(level.witnesses):
+                    assert w == level.e[i]
 
 
 def test_steinitz_example():

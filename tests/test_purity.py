@@ -137,3 +137,50 @@ def test_guard_flags_unused_imports():
         "    return sys.argv\n"
     )
     assert sorted(unused_imports(tree)) == [(2, "os"), (3, "os"), (4, "Opt"), (5, "matrix")]
+
+
+def unused_private_names(tree: ast.Module):
+    """Module-level functions, classes and assigned names that start with a
+    single underscore and that the module never reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__") and name not in read:
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(unused_private_names(tree)) == []
+
+
+def test_guard_flags_unused_private_names():
+    tree = ast.parse(
+        "__all__ = ['f']\n"
+        "_USED = 1\n"
+        "_UNUSED = 2\n"
+        "_a, (_b, c) = 3, (4, 5)\n"
+        "_annotated: int = 6\n"
+        "def _helper():\n"
+        "    return _USED + _a\n"
+        "def _dead():\n"
+        "    pass\n"
+        "class _Dead:\n"
+        "    _attr = 7\n"
+        "    def _method(self):\n"
+        "        return self._attr\n"
+        "def f():\n"
+        "    _local = 8\n"
+        "    return _helper()\n"
+    )
+    assert sorted(unused_private_names(tree)) == [
+        (3, "_UNUSED"), (4, "_b"), (5, "_annotated"), (8, "_dead"), (10, "_Dead"),
+    ]

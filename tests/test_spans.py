@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactspan import (
     GF,
@@ -122,6 +124,34 @@ def test_is_frame():
     assert not is_frame(sequence(GF2, [[1, 1], [1, 1]]))
     assert not is_frame(sequence(QQ, [[1, 0], [0, 0]]))
     assert is_frame(sequence(QQ, [], ambient_dim=2))
+
+
+@st.composite
+def led_sequences(draw):
+    """Sequences built from chosen leading positions: increasing or not,
+    repeated or not, with zero vectors (lead m) and arbitrary entries after
+    each lead, so entries above a later lead are often nonzero."""
+    field = draw(st.sampled_from((GF2, GF3, QQ)))
+    m = draw(st.integers(0, 5))
+    if field is QQ:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(0, field.modulus - 1)
+    leads = draw(st.lists(st.integers(0, m), max_size=m + 2, unique=draw(st.booleans())))
+    if draw(st.booleans()):
+        leads.sort()
+    rows = []
+    for lead in leads:
+        rows.append([0] * lead)
+        if lead < m:
+            rows[-1] += [draw(entry.filter(bool))] + draw(st.lists(entry, min_size=m - lead - 1, max_size=m - lead - 1))
+    return sequence(field, rows, ambient_dim=m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(led_sequences())
+def test_is_frame_is_full_rank(seq):
+    assert is_frame(seq) == (rank_seq(seq) == len(seq))
 
 
 def test_frame_constructor_rejects_dependent():
