@@ -104,8 +104,8 @@ def _cmd_basis(args) -> int:
     seq = parse_matrix_file(args.sequence)
     fr = basis_from_generators(seq)
     print(f"length {len(fr)}")
-    for v in fr:
-        print(_fmt_row(v.values))
+    for row in fr.seq.values:
+        print(_fmt_row(row))
     return EXIT_OK
 
 
@@ -206,8 +206,8 @@ def _cmd_steinitz(args) -> int:
         return EXIT_NEGATIVE
     print(" ".join(["picked"] + [str(i) for i in picked]))
     print(f"r {r}")
-    for v in extended:
-        print(_fmt_row(v.values))
+    for row in extended.seq.values:
+        print(_fmt_row(row))
     return EXIT_OK
 
 

@@ -3,16 +3,17 @@ elimination engine (reduced echelon form, span solving, kernels).
 
 A :class:`VecSequence` used as a matrix contributes its vectors as
 *columns*; a :class:`Subspace` (see :mod:`exactspan.spans`) builds its
-canonical basis as echelon *rows* on first use.  A :class:`Vector`, like a
-row of a :class:`Matrix`, holds raw canonical values of one interned field
-(ints in [0, p), or Fractions in lowest terms); the kernels and vector
-arithmetic work on them, and :func:`vector`, :func:`sequence` and
-:func:`matrix` canonicalise their input into them.  Scalars are made only by the
+canonical basis as echelon *rows* on first use.  A :class:`Vector` holds
+raw canonical values of one interned field (ints in [0, p), or Fractions in
+lowest terms), a :class:`VecSequence` or :class:`Matrix` one such row per
+vector; the kernels work on them.  :func:`vector`, :func:`sequence` and
+:func:`matrix` canonicalise input, the containers check only their shape,
+and a solve checks its targets once.  Scalars are made only by the
 accessors (``entries``, ``m[(i, j)]``) and for the coefficients
-``solve_many`` returns; the library's own solves read the same answers
-raw from ``solve_raw``.  There is one kernel per kind of field: bit-packed
-rows eliminated by XOR over GF(2); over GF(p), Gauss-Jordan on rows packed
-into one int each, w-bit slots reduced mod p only when read, so that a row
+``solve_many`` returns; the library's own solves read them raw from
+``solve_raw``.  There is one kernel per kind of field: bit-packed rows
+eliminated by XOR over GF(2); over GF(p), Gauss-Jordan on rows packed into
+one int each, w-bit slots reduced mod p only when read, so that a row
 update is one big-int multiply-add; and over the rationals, once rows are
 cleared of denominators, a certified modular route when an entry is wider
 than a machine word (one elimination modulo a 127-bit prime, rational
@@ -84,38 +85,38 @@ def zero_vector(field: Field, dim: int) -> Vector:
 
 @dataclass(frozen=True)
 class VecSequence:
-    """Ordered sequence of vectors; duplicates allowed, order significant."""
+    """Ordered sequence of vectors, held as raw canonical rows like a
+    :class:`Matrix`; indexing and iteration build :class:`Vector`s."""
 
     field: Field
     ambient_dim: int
-    items: Tuple[Vector, ...]
+    values: Tuple[Tuple[Union[int, Fraction], ...], ...]
 
     def __post_init__(self) -> None:
-        for v in self.items:
-            if v.field is not self.field or v.ambient_dim != self.ambient_dim:
-                raise FieldMismatchError("sequence item field/dimension mismatch")
+        if any(len(row) != self.ambient_dim for row in self.values):
+            raise FieldMismatchError("sequence item field/dimension mismatch")
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.values)
 
     def __getitem__(self, j: int) -> Vector:
-        return self.items[j]
+        return Vector(self.field, self.values[j])
 
     def __iter__(self):
-        return iter(self.items)
+        return (Vector(self.field, row) for row in self.values)
 
     def append(self, v: Vector) -> "VecSequence":
-        return VecSequence(self.field, self.ambient_dim, self.items + (v,))
+        if v.field is not self.field:
+            raise FieldMismatchError("sequence item field/dimension mismatch")
+        return VecSequence(self.field, self.ambient_dim, self.values + (v.values,))
 
 
 def sequence(field: Field, rows: Iterable[Iterable], ambient_dim: Optional[int] = None) -> VecSequence:
-    """Build a sequence from row data; ambient_dim is needed only when empty."""
-    vs = tuple(vector(field, r) for r in rows)
-    if vs:
-        ambient_dim = vs[0].ambient_dim
-    elif ambient_dim is None:
+    """Build a sequence from row data; ambient_dim must match it, if given."""
+    values = tuple(tuple(map(field.canon, r)) for r in rows)
+    if ambient_dim is None and not values:
         raise ValueError("ambient_dim required for an empty sequence")
-    return VecSequence(field, ambient_dim, vs)
+    return VecSequence(field, len(values[0]) if ambient_dim is None else ambient_dim, values)
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,8 @@ class Matrix:
 def matrix(field: Field, rows: Iterable[Iterable], cols: Optional[int] = None) -> Matrix:
     canon = field.canon
     data = tuple(tuple(canon(e) for e in row) for row in rows)
-    if data:
-        cols = len(data[0])
-    elif cols is None:
-        cols = 0
+    if cols is None:
+        cols = len(data[0]) if data else 0
     return Matrix(field, len(data), cols, data)
 
 
@@ -172,12 +171,11 @@ def identity(field: Field, n: int) -> Matrix:
 def matrix_from_columns(seq: VecSequence) -> Matrix:
     """Sequence-as-columns convention: vector j becomes column j."""
     m, n = seq.ambient_dim, len(seq)
-    cols = [v.values for v in seq]
-    return Matrix(seq.field, m, n, tuple(zip(*cols)) if n else ((),) * m)
+    return Matrix(seq.field, m, n, tuple(zip(*seq.values)) if n else ((),) * m)
 
 
 def matrix_from_rows(seq: VecSequence) -> Matrix:
-    return Matrix(seq.field, len(seq), seq.ambient_dim, tuple(v.values for v in seq))
+    return Matrix(seq.field, len(seq), seq.ambient_dim, seq.values)
 
 
 def mat_product(a: Matrix, b: Matrix) -> Matrix:
@@ -200,10 +198,10 @@ def lin_comb(seq: VecSequence, coeffs: Sequence) -> Vector:
         raise ValueError(f"{len(coeffs)} coefficients for a sequence of length {len(seq)}")
     field, p = seq.field, seq.field.modulus
     acc = [field.canon(0)] * seq.ambient_dim
-    for c, v in zip(coeffs, seq):
+    for c, row in zip(coeffs, seq.values):
         x = field.canon(c)
         if x:
-            acc = [a + x * y for a, y in zip(acc, v.values)]
+            acc = [a + x * y for a, y in zip(acc, row)]
     return Vector(field, tuple(acc) if p is None else tuple(a % p for a in acc))
 
 
@@ -571,17 +569,16 @@ def solve_in_span(seq: VecSequence, target: Vector) -> Optional[Tuple[Scalar, ..
     return sols[0]
 
 
-def solve_raw(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tuple[Union[int, Fraction], ...]]]:
-    """The answers of :func:`solve_many` as raw canonical values, from the
-    same single elimination."""
+def solve_raw(seq: VecSequence, targets: VecSequence) -> List[Optional[Tuple[Union[int, Fraction], ...]]]:
+    """The answers of :func:`solve_many` for the rows of ``targets``, as raw
+    canonical values, from the same single elimination."""
     field = seq.field
     n = len(seq)
-    for t in targets:
-        if t.field is not field:
-            raise FieldMismatchError("target field mismatch")
-        if t.ambient_dim != seq.ambient_dim:
-            raise ValueError("target ambient dimension mismatch")
-    aug = matrix_from_columns(VecSequence(field, seq.ambient_dim, seq.items + tuple(targets)))
+    if targets.values and targets.field is not field:
+        raise FieldMismatchError("target field mismatch")
+    if targets.values and targets.ambient_dim != seq.ambient_dim:
+        raise ValueError("target ambient dimension mismatch")
+    aug = matrix_from_columns(VecSequence(field, seq.ambient_dim, seq.values + targets.values))
     red = reduced_form(aug)
     rows = red.matrix.values
     seq_pivots = [c for c in red.pivots if c < n]
@@ -605,7 +602,12 @@ def solve_raw(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tupl
 def solve_many(seq: VecSequence, targets: Sequence[Vector]) -> List[Optional[Tuple[Scalar, ...]]]:
     """solve_in_span for several targets with a single elimination."""
     field = seq.field
-    return [None if c is None else tuple(Scalar(field, x) for x in c) for c in solve_raw(seq, targets)]
+    if any(t.field is not field for t in targets):
+        raise FieldMismatchError("target field mismatch")
+    if any(t.ambient_dim != seq.ambient_dim for t in targets):
+        raise ValueError("target ambient dimension mismatch")
+    sols = solve_raw(seq, VecSequence(field, seq.ambient_dim, tuple(t.values for t in targets)))
+    return [None if c is None else tuple(Scalar(field, x) for x in c) for c in sols]
 
 
 def kernel_basis(m: Matrix) -> VecSequence:
@@ -613,11 +615,10 @@ def kernel_basis(m: Matrix) -> VecSequence:
     red = reduced_form(m)
     rows = red.matrix.values
     pivots = red.pivots
-    field = m.field
-    canon = field.canon
+    canon = m.field.canon
     zero, one = canon(0), canon(1)
     pivot_set = set(pivots)
-    vecs = []
+    out = []
     for f in range(m.cols):
         if f in pivot_set:
             continue
@@ -625,5 +626,5 @@ def kernel_basis(m: Matrix) -> VecSequence:
         values[f] = one
         for row_idx, c in enumerate(pivots):
             values[c] = canon(-rows[row_idx][f])
-        vecs.append(Vector(field, tuple(values)))
-    return VecSequence(field, m.cols, tuple(vecs))
+        out.append(tuple(values))
+    return VecSequence(m.field, m.cols, tuple(out))

@@ -19,6 +19,7 @@ from .core import (
     Vector,
     kernel_basis,
     lin_comb,
+    mat_product,
     matrix_from_columns,
     reduced_form,
     solve_raw,
@@ -29,6 +30,7 @@ from .spans import (
     Frame,
     NotAFrameError,
     Subspace,
+    _proven_frame,
     rank_seq,
     span_of,
 )
@@ -56,16 +58,15 @@ def _inclusion_columns(e: Frame, f: Frame) -> List[Optional[tuple]]:
     """The f-coordinates of each e[i].  For frames of equal length, e inside
     span(f) forces span(e) = span(f), so this one solve decides both
     inclusions."""
-    cols = solve_raw(f.seq, tuple(e.seq))
+    cols = solve_raw(f.seq, e.seq)
     if any(c is None for c in cols):
         raise ValueError("f is not contained in the span of e")
     return cols
 
 
 def _annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
-    zero = zero_vector(f.field, f.ambient_dim)
-    images = tuple(zero if j == i else f[j] for j in range(len(f)))
-    return LinearMap(e, VecSequence(f.field, f.ambient_dim, images))
+    rows, zero = f.seq.values, (f.field.canon(0),) * f.ambient_dim
+    return LinearMap(e, VecSequence(f.field, f.ambient_dim, rows[:i] + (zero,) + rows[i + 1:]))
 
 
 def build_annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
@@ -80,7 +81,7 @@ def build_annihilating_map(e: Frame, f: Frame, i: int) -> LinearMap:
 
 
 def apply_map(lmap: LinearMap, x: Vector) -> Vector:
-    coeffs = solve_raw(lmap.domain_frame.seq, (x,))[0]
+    coeffs = solve_raw(lmap.domain_frame.seq, VecSequence(x.field, x.ambient_dim, (x.values,)))[0]
     if coeffs is None:
         raise ValueError("vector lies outside the span of the basis")
     return lin_comb(lmap.images, coeffs)
@@ -95,20 +96,17 @@ def restricted_kernel_witness(lmap: LinearMap, sub: Subspace) -> Optional[Vector
     """
     dom = lmap.domain_frame
     basis = sub.canonical_basis
-    sols = solve_raw(dom.seq, tuple(basis))
+    sols = solve_raw(dom.seq, basis)
     if any(c is None for c in sols):
         raise ValueError("subspace is not contained in the domain span")
-    if len(basis) == 0:
-        return None
     # domain coordinates of each basis vector; the map is linear, so these
     # also give the images and the witness's own domain coordinates
-    dom_coords = VecSequence(lmap.field, len(dom), tuple(Vector(lmap.field, c) for c in sols))
-    images = tuple(lin_comb(lmap.images, c) for c in sols)
-    ker = kernel_basis(matrix_from_columns(VecSequence(lmap.field, lmap.images.ambient_dim, images)))
+    dom_coords = VecSequence(lmap.field, len(dom), tuple(sols))
+    ker = kernel_basis(mat_product(matrix_from_columns(lmap.images), matrix_from_columns(dom_coords)))
     if len(ker) == 0:
         return None
-    witness = lin_comb(basis, ker[0].values)
-    lead = next(x for x in lin_comb(dom_coords, ker[0].values).values if x)
+    witness = lin_comb(basis, ker.values[0])
+    lead = next(x for x in lin_comb(dom_coords, ker.values[0]).values if x)
     return witness.scale(lmap.field.scalar(lead).inverse())
 
 
@@ -136,13 +134,13 @@ def verify_basic_lemma(e: Frame, f: Frame) -> InclusionCertificate:
 def check_certificate(cert: InclusionCertificate) -> bool:
     """Substitution-only validation: no solving, no elimination."""
     try:
-        e, f, c = cert.e, cert.f, cert.coefficient_matrix
+        e, fs, c = cert.e, tuple(cert.f), cert.coefficient_matrix
         n = len(e)
-        if len(f) != n or c.rows != n or c.cols != n or c.field is not f.field:
+        if len(fs) != n or c.rows != n or c.cols != n or c.field is not cert.f.field:
             return False
         for i in range(n):
             acc = zero_vector(e.field, e.ambient_dim)
-            for fj, row in zip(f, c.values):
+            for fj, row in zip(fs, c.values):
                 acc = acc + fj.scale(row[i])
             if acc != e[i]:
                 return False
@@ -180,7 +178,7 @@ def _level_instance(e: Frame, f: Frame, k: int) -> Tuple[Frame, Frame]:
     canonical frame of its span; the top level is the original pair."""
     if k == len(f):
         return e, f
-    fk = Frame(VecSequence(f.field, f.ambient_dim, f.seq.items[:k]))
+    fk = _proven_frame(VecSequence(f.field, f.ambient_dim, f.seq.values[:k]))
     return Frame(span_of(fk.seq).canonical_basis), fk
 
 
@@ -197,11 +195,11 @@ def _level_witnesses(ek: Frame, fk: Frame) -> Tuple[Tuple[LinearMap, ...], Tuple
     zero, one = field.canon(0), field.canon(1)
     maps = tuple(_annihilating_map(ek, fk, i) for i in range(k))
     witnesses: List[Vector] = []
-    for i, lmap in enumerate(maps):
+    for i, (lmap, w) in enumerate(zip(maps, ek)):
         unit = (zero,) * i + (one,) + (zero,) * (k - 1 - i)
-        if ek[i].is_zero() or not lin_comb(lmap.images, unit).is_zero():
+        if w.is_zero() or not lin_comb(lmap.images, unit).is_zero():
             raise NotAFrameError("restriction has trivial kernel; inputs were not valid frames")
-        witnesses.append(ek[i].scale(field.scalar(unit[i]).inverse()))
+        witnesses.append(w.scale(field.scalar(unit[i]).inverse()))
     return maps, tuple(witnesses)
 
 
@@ -242,13 +240,12 @@ def steinitz_extend(basis: Frame, fr: Frame) -> Tuple[Frame, Tuple[int, ...], in
     if len(basis) != m:
         raise NotAFrameError("first argument must be a basis of the full space")
     k = len(fr)
-    both = VecSequence(fr.field, m, fr.seq.items + basis.seq.items)
+    both = VecSequence(fr.field, m, fr.seq.values + basis.seq.values)
     pivots = reduced_form(matrix_from_columns(both)).pivots
     picked = tuple(c - k for c in pivots if c >= k)
-    extended = Frame(VecSequence(fr.field, m, fr.seq.items + tuple(basis[i] for i in picked)))
     if len(picked) != m - k or len(pivots) != m:
         raise AssertionError("frame extension failed to reach a basis")
-    return extended, picked, len(picked)
+    return _proven_frame(VecSequence(fr.field, m, tuple(both.values[c] for c in pivots))), picked, len(picked)
 
 
 def rank_bound_check(base: VecSequence, derived: VecSequence) -> bool:

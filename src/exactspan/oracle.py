@@ -52,14 +52,14 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _combine(seq: VecSequence, coeffs: Tuple[int, ...]) -> Vector:
+def _combine(seq: VecSequence, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
     # residue multiply/add, reduced mod p once; independent of the engine
     p = seq.field.modulus
     acc = [0] * seq.ambient_dim
-    for c, v in zip(coeffs, seq):
+    for c, row in zip(coeffs, seq.values):
         if c:
-            acc = [a + c * b for a, b in zip(acc, v.values)]
-    return Vector(seq.field, tuple(a % p for a in acc))
+            acc = [a + c * b for a, b in zip(acc, row)]
+    return tuple(a % p for a in acc)
 
 
 def _coeff_tuples(field: Field, n: int) -> Iterator[Tuple[int, ...]]:
@@ -69,7 +69,7 @@ def _coeff_tuples(field: Field, n: int) -> Iterator[Tuple[int, ...]]:
 def enum_span(seq: VecSequence, budget: EnumerationBudget = DEFAULT_BUDGET) -> FrozenSet[Vector]:
     """All linear combinations of the sequence, as a set."""
     budget.check(seq.field, seq.ambient_dim, len(seq))
-    return frozenset(_combine(seq, c) for c in _coeff_tuples(seq.field, len(seq)))
+    return frozenset(Vector(seq.field, _combine(seq, c)) for c in _coeff_tuples(seq.field, len(seq)))
 
 
 def member_bruteforce(
@@ -77,11 +77,11 @@ def member_bruteforce(
 ) -> bool:
     """True iff some coefficient tuple reconstructs x."""
     budget.check(seq.field, seq.ambient_dim, len(seq))
-    return any(_combine(seq, c) == x for c in _coeff_tuples(seq.field, len(seq)))
+    return x.field is seq.field and x.values in (_combine(seq, c) for c in _coeff_tuples(seq.field, len(seq)))
 
 
 def _independent_bruteforce(seq: VecSequence) -> bool:
-    zero = Vector(seq.field, (0,) * seq.ambient_dim)
+    zero = (0,) * seq.ambient_dim
     for c in _coeff_tuples(seq.field, len(seq)):
         if any(c) and _combine(seq, c) == zero:
             return False
@@ -93,7 +93,7 @@ def rank_bruteforce(seq: VecSequence, budget: EnumerationBudget = DEFAULT_BUDGET
     budget.check(seq.field, seq.ambient_dim, len(seq))
     for size in range(len(seq), 0, -1):
         for idx in itertools.combinations(range(len(seq)), size):
-            sub = VecSequence(seq.field, seq.ambient_dim, tuple(seq[i] for i in idx))
+            sub = VecSequence(seq.field, seq.ambient_dim, tuple(seq.values[i] for i in idx))
             if _independent_bruteforce(sub):
                 return size
     return 0
@@ -108,11 +108,11 @@ def maximality_bruteforce(
     """Quantified definition of maximality: no sequence of length <= max_len
     drawn from the subspace exceeds the frame's rank."""
     budget.check(sub.field, sub.ambient_dim, max_len)
-    vectors = sorted(enum_span(sub.canonical_basis, budget), key=lambda v: v.values)
-    if len(vectors) ** max_len > 10**6:
+    rows = sorted(v.values for v in enum_span(sub.canonical_basis, budget))
+    if len(rows) ** max_len > 10**6:
         raise BudgetExceededError("sequence enumeration would exceed 10^6 elements")
     for length in range(1, max_len + 1):
-        for combo in itertools.product(vectors, repeat=length):
+        for combo in itertools.product(rows, repeat=length):
             seq = VecSequence(sub.field, sub.ambient_dim, combo)
             if rank_bruteforce(seq, budget) > len(fr):
                 return False

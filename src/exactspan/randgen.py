@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 from typing import Tuple
 
-from .core import Matrix, VecSequence, Vector, lin_comb, matrix, rank_matrix, vector
+from .core import Matrix, VecSequence, Vector, mat_product, matrix, matrix_from_columns, rank_matrix, sequence, vector
 from .field import Field, Scalar
-from .spans import Frame, is_frame
+from .spans import Frame, NotAFrameError
 
 
 def random_scalar(field: Field, rng: random.Random, nonzero: bool = False) -> Scalar:
@@ -27,16 +27,17 @@ def random_vector(field: Field, dim: int, rng: random.Random) -> Vector:
 
 
 def random_sequence(field: Field, dim: int, length: int, rng: random.Random) -> VecSequence:
-    return VecSequence(field, dim, tuple(random_vector(field, dim, rng) for _ in range(length)))
+    return sequence(field, ([random_scalar(field, rng) for _ in range(dim)] for _ in range(length)), dim)
 
 
 def random_frame(field: Field, dim: int, length: int, rng: random.Random) -> Frame:
     if length > dim:
         raise ValueError("no frame longer than the ambient dimension exists")
     while True:
-        seq = random_sequence(field, dim, length, rng)
-        if is_frame(seq):
-            return Frame(seq)
+        try:
+            return Frame(random_sequence(field, dim, length, rng))
+        except NotAFrameError:
+            continue
 
 
 def random_invertible_matrix(field: Field, n: int, rng: random.Random) -> Matrix:
@@ -57,5 +58,5 @@ def random_frame_pair(
     lies in the span of e by construction."""
     e = random_frame(field, dim, length, rng)
     a = random_invertible_matrix(field, length, rng)
-    f_items = tuple(lin_comb(e.seq, a.column(j).values) for j in range(length))
-    return e, Frame(VecSequence(field, dim, f_items))
+    ea = mat_product(matrix_from_columns(e.seq), a)  # column j is f_j
+    return e, Frame(VecSequence(field, dim, tuple(zip(*ea.values))))

@@ -10,6 +10,8 @@ generators until the basis exists: over Q that needs no reduced form (see
 ``canonical_basis`` on a fresh subspace costs one elimination more than
 the basis alone.  That is the cheaper side: the library never reads
 ``dim``, while the CLI ``dim`` and :func:`dimension` read nothing else.
+Frames the engine has just proven independent (pivot columns, prefixes)
+skip the check that ``Frame(seq)`` makes on every frame built from input.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ def is_frame(seq: VecSequence) -> bool:
     independent, so a scan certifies canonical and standard bases without
     elimination; any other sequence is decided by its rank."""
     last = -1
-    for v in seq:
-        lead = next((j for j, x in enumerate(v.values) if x), last)
+    for row in seq.values:
+        lead = next((j for j, x in enumerate(row) if x), last)
         if lead <= last:
             return rank_seq(seq) == len(seq)
         last = lead
@@ -89,6 +91,13 @@ class Frame:
         return iter(self.seq)
 
 
+def _proven_frame(seq: VecSequence) -> Frame:
+    """``seq``, just proven independent by the caller, as an unchecked Frame."""
+    fr = object.__new__(Frame)
+    object.__setattr__(fr, "seq", seq)
+    return fr
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """The span of ``generators``.  Its canonical basis, the unique
@@ -103,8 +112,7 @@ class Subspace:
     @cached_property
     def canonical_basis(self) -> VecSequence:
         red = reduced_form(matrix_from_rows(self.generators))
-        vecs = tuple(Vector(self.field, row) for row in red.matrix.values[: red.rank])
-        return VecSequence(self.field, self.ambient_dim, vecs)
+        return VecSequence(self.field, self.ambient_dim, red.matrix.values[: red.rank])
 
     @property
     def dim(self) -> int:
@@ -112,10 +120,10 @@ class Subspace:
         return rank_seq(self.generators) if basis is None else len(basis)
 
     def contains(self, x: Vector) -> bool:
-        return solve_raw(self.canonical_basis, (x,))[0] is not None
+        return self.contains_seq(VecSequence(x.field, x.ambient_dim, (x.values,)))
 
     def contains_seq(self, seq: VecSequence) -> bool:
-        return all(c is not None for c in solve_raw(self.canonical_basis, tuple(seq)))
+        return all(c is not None for c in solve_raw(self.canonical_basis, seq))
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_seq(self.canonical_basis)
@@ -162,10 +170,10 @@ def extend_frame(fr: Frame, sub: Subspace) -> Vector:
     if not sub.contains_seq(fr.seq):
         raise ValueError("frame is not contained in the subspace")
     basis = sub.canonical_basis
-    sols = solve_raw(fr.seq, tuple(basis))
-    for v, sol in zip(basis, sols):
+    sols = solve_raw(fr.seq, basis)
+    for row, sol in zip(basis.values, sols):
         if sol is None:
-            return v
+            return Vector(fr.field, row)
     raise MaximalFrameError("frame already spans the subspace")
 
 
@@ -176,7 +184,7 @@ def basis_from_generators(gens: VecSequence) -> Frame:
     column is a pivot column of the reduced echelon form of the generators
     taken as columns, so the greedy scan is read off one elimination."""
     pivots = reduced_form(matrix_from_columns(gens)).pivots
-    return Frame(VecSequence(gens.field, gens.ambient_dim, tuple(gens[c] for c in pivots)))
+    return _proven_frame(VecSequence(gens.field, gens.ambient_dim, tuple(gens.values[c] for c in pivots)))
 
 
 def dimension(sub: Subspace) -> int:
@@ -198,10 +206,10 @@ def change_of_basis(e: Frame, f: Frame) -> Tuple[Matrix, Matrix]:
     n = len(e)
     if len(f) != n:
         raise ValueError("frames must have equal length")
-    cols_a = solve_raw(e.seq, tuple(f.seq))
+    cols_a = solve_raw(e.seq, f.seq)
     if any(c is None for c in cols_a):
         raise ValueError("some f_j lies outside the span of e")
-    cols_ainv = solve_raw(f.seq, tuple(e.seq))
+    cols_ainv = solve_raw(f.seq, e.seq)
     if any(c is None for c in cols_ainv):
         raise NotAFrameError("some e_i is not reachable from f; inputs were not equal-span frames")
     a = Matrix(e.field, n, n, tuple(zip(*cols_a)))

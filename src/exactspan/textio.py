@@ -42,7 +42,7 @@ import re
 from fractions import Fraction
 from typing import List, Tuple
 
-from .core import Matrix, VecSequence, Vector
+from .core import Matrix, VecSequence
 from .field import Field, GF, QQ
 from .lemma import InclusionCertificate, ProofTrace
 from .spans import Frame, NotAFrameError
@@ -152,8 +152,7 @@ def parse_matrix_text(text: str) -> VecSequence:
         data = [(lineno, "")] * rows
     if len(data) != rows:
         raise FormatError(f"dims declare {rows} rows but file has {len(data)} data lines")
-    vecs = tuple(Vector(field, _parse_row(field, ln, line, cols)) for ln, line in data)
-    return VecSequence(field, cols, vecs)
+    return VecSequence(field, cols, tuple(_parse_row(field, ln, line, cols) for ln, line in data))
 
 
 def _read(path: str) -> str:
@@ -177,8 +176,7 @@ def render_field(field: Field) -> str:
 
 
 def render_sequence(seq: VecSequence) -> str:
-    lines = [render_field(seq.field), f"dims {len(seq)} {seq.ambient_dim}"]
-    lines += _rows(v.values for v in seq)
+    lines = [render_field(seq.field), f"dims {len(seq)} {seq.ambient_dim}", *_rows(seq.values)]
     return "\n".join(lines) + "\n"
 
 
@@ -193,9 +191,9 @@ def render_certificate(cert: InclusionCertificate) -> str:
         f"ambient {cert.e.ambient_dim}",
         f"length {len(cert.e)}",
         "e",
-        *_rows(v.values for v in cert.e),
+        *_rows(cert.e.seq.values),
         "f",
-        *_rows(v.values for v in cert.f),
+        *_rows(cert.f.seq.values),
         "C",
         *_rows(cert.coefficient_matrix.values),
         "end",
@@ -228,22 +226,17 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
         raise FormatError(f"certificate should have {expected} logical lines, found {len(lines)}")
     pos = 4
 
-    def section(name: str, width: int) -> List[tuple]:
+    def section(name: str, width: int) -> Tuple[tuple, ...]:
         nonlocal pos
         lineno, line = lines[pos]
         if line != name:
             raise FormatError(f"line {lineno}: expected section {name!r}, got {line!r}")
-        pos += 1
-        rows = []
-        for _ in range(length):
-            lineno, line = lines[pos]
-            rows.append(_parse_row(field, lineno, line, width))
-            pos += 1
-        return rows
+        pos += 1 + length
+        return tuple(_parse_row(field, ln, row, width) for ln, row in lines[pos - length:pos])
 
-    def frame(name: str, rows: List[tuple]) -> Frame:
+    def frame(name: str, rows: Tuple[tuple, ...]) -> Frame:
         try:
-            return Frame(VecSequence(field, ambient, tuple(Vector(field, row) for row in rows)))
+            return Frame(VecSequence(field, ambient, rows))
         except NotAFrameError:
             raise FormatError(f"certificate section {name!r} is linearly dependent") from None
 
@@ -254,7 +247,7 @@ def parse_certificate_text(text: str) -> InclusionCertificate:
         raise FormatError(f"line {lines[pos][0]}: expected 'end'")
     e = frame("e", e_rows)
     f = frame("f", f_rows)
-    c = Matrix(field, length, length, tuple(c_rows))
+    c = Matrix(field, length, length, c_rows)
     return InclusionCertificate(e, f, c)
 
 
@@ -273,9 +266,9 @@ def render_trace(trace: ProofTrace) -> str:
     for level in trace.levels:
         lines.append(f"level {level.rank}")
         lines.append("e")
-        lines += _rows(v.values for v in level.e)
+        lines += _rows(level.e.seq.values)
         lines.append("f")
-        lines += _rows(v.values for v in level.f)
+        lines += _rows(level.f.seq.values)
         lines += ["witness " + row for row in _rows(w.values for w in level.witnesses)]
         lines.append("C")
         lines += _rows(level.coefficient_matrix.values)

@@ -450,7 +450,7 @@ def cli_cases(draw):
     certs = [draw(certificate_texts())]
     if len(e) and is_frame(e):
         a = random_invertible_matrix(field, len(e), random.Random(draw(st.integers(0, 99))))
-        f = VecSequence(field, dim, tuple(lin_comb(e, a.column(j).values) for j in range(len(e))))
+        f = VecSequence(field, dim, tuple(lin_comb(e, a.column(j).values).values for j in range(len(e))))
         cert = render_certificate(verify_basic_lemma(Frame(e), Frame(f)))
         pool.append(f)
         certs += [cert, tampered(cert)]

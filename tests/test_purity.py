@@ -184,3 +184,49 @@ def test_guard_flags_unused_private_names():
     assert sorted(unused_private_names(tree)) == [
         (3, "_UNUSED"), (4, "_b"), (5, "_annotated"), (8, "_dead"), (10, "_Dead"),
     ]
+
+
+# Wraps a sequence as a Frame without the independence check.  Only the
+# engine, which has just proven the independence, may call it; input from
+# outside (the CLI, file parsing, random instances, the oracle) always goes
+# through the validating ``Frame(seq)``.
+UNCHECKED_FRAME = "_proven_frame"
+UNCHECKED_FRAME_USERS = ("spans.py", "lemma.py")
+
+
+def references(tree: ast.AST, name: str):
+    """Lines that refer to ``name``: as a name, an attribute, an imported
+    name, a definition or a string constant (``getattr(spans, name)``)."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+            or isinstance(node, ast.Constant) and node.value == name
+            or isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_unchecked_frames_only_inside_the_engine(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = sorted(set(references(tree, UNCHECKED_FRAME)))
+    if path.name in UNCHECKED_FRAME_USERS:
+        assert found
+    else:
+        assert found == []
+
+
+def test_guard_flags_unchecked_frame_references():
+    tree = ast.parse(
+        "from .spans import Frame, _proven_frame\n"
+        "from . import spans\n"
+        "a = spans._proven_frame(seq)\n"
+        "b = getattr(spans, '_proven_frame')\n"
+        "c = _proven_frame\n"
+        "def _proven_frame(seq):\n"
+        "    return Frame(seq)\n"
+        "d = proven_frame(seq)\n"
+    )
+    assert sorted(set(references(tree, UNCHECKED_FRAME))) == [1, 3, 4, 5, 6]

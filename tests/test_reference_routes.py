@@ -82,7 +82,7 @@ def per_map_trace(e, f):
     n = len(f)
     levels = []
     for k in range(1, n + 1):
-        fk = f if k == n else Frame(VecSequence(f.field, f.ambient_dim, f.seq.items[:k]))
+        fk = f if k == n else Frame(VecSequence(f.field, f.ambient_dim, f.seq.values[:k]))
         ek = e if k == n else Frame(span_of(fk.seq).canonical_basis)
         if k == 1:
             levels.append((ek, fk, (), ((coordinates(fk, ek[0])[0],),)))
@@ -103,7 +103,7 @@ def with_zeros_and_repeats(seq, rng):
     for _ in range(rng.randint(0, 3)):
         if items:
             items.insert(rng.randint(0, len(items)), rng.choice(items))
-    return VecSequence(seq.field, seq.ambient_dim, tuple(items))
+    return VecSequence(seq.field, seq.ambient_dim, tuple(v.values for v in items))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -122,7 +122,7 @@ def test_basis_of_low_rank_generators(field):
         m = rng.randint(1, 5)
         base = random_sequence(field, m, rng.randint(0, 2), rng)
         combos = [lin_comb(base, random_vector(field, len(base), rng).entries) for _ in range(5)]
-        gens = with_zeros_and_repeats(VecSequence(field, m, tuple(combos)), rng)
+        gens = with_zeros_and_repeats(VecSequence(field, m, tuple(c.values for c in combos)), rng)
         assert basis_from_generators(gens).seq == greedy_basis(gens)
 
 
@@ -165,14 +165,14 @@ def test_kernel_witness_matches_per_map_route(field):
         images = tuple(
             random_vector(field, out, rng) if rng.random() < 0.6 else zero_vector(field, out) for _ in dom
         )
-        lmap = LinearMap(dom, VecSequence(field, out, images))
+        lmap = LinearMap(dom, VecSequence(field, out, tuple(v.values for v in images)))
         inside = tuple(
             lin_comb(dom.seq, random_vector(field, len(dom), rng).entries) for _ in range(rng.randint(0, 3))
         )
-        sub = span_of(VecSequence(field, m, inside))
+        sub = span_of(VecSequence(field, m, tuple(v.values for v in inside)))
         assert restricted_kernel_witness(lmap, sub) == per_map_kernel_witness(lmap, sub)
         if len(dom) < m:
-            outside = span_of(VecSequence(field, m, inside + (random_vector(field, m, rng),)))
+            outside = span_of(VecSequence(field, m, tuple(v.values for v in inside + (random_vector(field, m, rng),))))
             if not span_of(dom.seq).contains_seq(outside.canonical_basis):
                 with pytest.raises(ValueError):
                     restricted_kernel_witness(lmap, outside)
