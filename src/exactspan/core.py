@@ -574,9 +574,9 @@ def solve_raw(seq: VecSequence, targets: VecSequence) -> List[Optional[Tuple[Uni
     canonical values, from the same single elimination."""
     field = seq.field
     n = len(seq)
-    if targets.values and targets.field is not field:
+    if targets.field is not field:
         raise FieldMismatchError("target field mismatch")
-    if targets.values and targets.ambient_dim != seq.ambient_dim:
+    if targets.ambient_dim != seq.ambient_dim:
         raise ValueError("target ambient dimension mismatch")
     aug = matrix_from_columns(VecSequence(field, seq.ambient_dim, seq.values + targets.values))
     red = reduced_form(aug)

@@ -98,9 +98,6 @@ class Field:
             return value
         return Scalar(self, self.canon(value))
 
-    def parse(self, text: str) -> "Scalar":
-        return Scalar(self, self.parse_value(text))
-
     def parse_value(self, text: str) -> Union[int, Fraction]:
         """The raw canonical value of a literal: an ASCII signed integer, or
         over the rationals also ``a/b`` with an ASCII unsigned denominator."""

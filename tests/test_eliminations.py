@@ -149,14 +149,14 @@ def test_steinitz_extend_makes_one(eliminations):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_trace_induction_is_linear_in_n(eliminations, n):
-    """The top level makes one solve; each lower level builds the canonical
-    basis of its prefix's span and makes one solve.  A prefix of a frame is
-    a frame, so it is not checked, and the canonical frame is in echelon
-    form, so checking it costs none."""
+    """The top level makes one solve; each lower level reads its canonical
+    basis and inclusion matrix off one reduction of [f_k | I].  A prefix of a
+    frame is a frame, so it is not checked, and the canonical frame is in
+    echelon form, so checking it costs none."""
     rng = random.Random(6)
     for field in FIELDS:
         e, f = random_frame_pair(field, n + 1, n, rng)
-        assert eliminations(trace_induction, e, f) == 2 * n - 1
+        assert eliminations(trace_induction, e, f) == n
 
 
 def test_echelon_frames_need_no_rank(monkeypatch):

@@ -6,33 +6,33 @@ from exactspan import GF, QQ, Field, FieldMismatchError, ScalarParseError
 
 
 def test_parse_gf_reduces():
-    assert GF(5).parse("7").value == 2
+    assert GF(5).scalar("7").value == 2
 
 
 def test_parse_negative_gf():
-    assert GF(5).parse("-3").value == 2
+    assert GF(5).scalar("-3").value == 2
 
 
 def test_parse_rational_lowest_terms():
-    s = QQ.parse("-3/6")
+    s = QQ.scalar("-3/6")
     assert s.value == Fraction(-1, 2)
     assert str(s) == "-1/2"
 
 
 def test_parse_zero_denominator():
     with pytest.raises(ScalarParseError):
-        QQ.parse("1/0")
+        QQ.scalar("1/0")
 
 
 def test_parse_fraction_in_prime_field():
     with pytest.raises(ScalarParseError):
-        GF(5).parse("1/2")
+        GF(5).scalar("1/2")
 
 
 @pytest.mark.parametrize("text", ["", "abc", "1.5", "1/2/3"])
 def test_parse_malformed(text):
     with pytest.raises(ScalarParseError):
-        QQ.parse(text)
+        QQ.scalar(text)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "gf5"])
@@ -44,7 +44,7 @@ def test_parse_malformed(text):
 )
 def test_parse_accepts_only_ascii_integers(field, text):
     with pytest.raises(ScalarParseError):
-        field.parse(text)
+        field.scalar(text)
 
 
 @pytest.mark.parametrize(
@@ -53,7 +53,7 @@ def test_parse_accepts_only_ascii_integers(field, text):
 )
 def test_parse_rational_literal_strict(text):
     with pytest.raises(ScalarParseError):
-        QQ.parse(text)
+        QQ.scalar(text)
 
 
 @pytest.mark.parametrize(
@@ -62,7 +62,7 @@ def test_parse_rational_literal_strict(text):
      ("-06/004", Fraction(-3, 2)), ("12345678901234567890/3", Fraction(12345678901234567890, 3))],
 )
 def test_parse_accepts_ascii_forms(text, value):
-    assert QQ.parse(text).value == value
+    assert QQ.scalar(text).value == value
 
 
 def test_composite_modulus_rejected():
@@ -83,7 +83,7 @@ def test_add_gf():
 
 
 def test_add_rationals():
-    assert QQ.parse("1/2") + QQ.parse("1/3") == QQ.parse("5/6")
+    assert QQ.scalar("1/2") + QQ.scalar("1/3") == QQ.scalar("5/6")
 
 
 def test_mul_gf():
@@ -92,7 +92,7 @@ def test_mul_gf():
 
 
 def test_mul_rationals():
-    assert QQ.parse("2/3") * QQ.parse("3/4") == QQ.parse("1/2")
+    assert QQ.scalar("2/3") * QQ.scalar("3/4") == QQ.scalar("1/2")
 
 
 def test_inverse_gf():
@@ -101,7 +101,7 @@ def test_inverse_gf():
 
 
 def test_inverse_rational():
-    assert QQ.parse("3/4").inverse() == QQ.parse("4/3")
+    assert QQ.scalar("3/4").inverse() == QQ.scalar("4/3")
 
 
 def test_inverse_of_zero():
@@ -120,12 +120,12 @@ def test_field_mismatch():
 
 def test_round_trip_render_parse():
     for text in ["0", "3", "-7", "1/2", "-5/9"]:
-        s = QQ.parse(text)
-        assert QQ.parse(str(s)) == s
+        s = QQ.scalar(text)
+        assert QQ.scalar(str(s)) == s
     f = GF(13)
     for v in range(13):
         s = f.scalar(v)
-        assert f.parse(str(s)) == s
+        assert f.scalar(str(s)) == s
 
 
 _gf5 = GF(5)

@@ -1,14 +1,18 @@
 """Differential tests against the step-by-step routes.
 
-The engine answers basis extraction, Steinitz extension and the per-level
-trace witnesses with one elimination each.  The references below keep the
-direct routes instead: a greedy scan that recomputes the rank of every
-growing prefix, and, for the trace, one annihilating map at a time applied
-to each basis vector of span(fk), its canonical kernel and a normalization
-through domain coordinates.  Both must agree with the engine exactly.
+The engine answers basis extraction, Steinitz extension and each lower
+trace level with one elimination each; a trace level reads its canonical
+basis and inclusion matrix off the reduced rows of [fk | I].  The
+references below keep the direct routes instead: a greedy scan that
+recomputes the rank of every growing prefix, and, for the trace, the
+canonical basis of span(fk), one annihilating map at a time applied to
+each of its vectors, its canonical kernel, a normalization through domain
+coordinates, and the fk-coordinates of each witness.  Both must agree with
+the engine exactly.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,12 +31,22 @@ from exactspan import (
     matrix,
     rank_seq,
     restricted_kernel_witness,
+    sequence,
     span_of,
     steinitz_extend,
     trace_induction,
     zero_vector,
 )
-from exactspan.randgen import random_frame, random_frame_pair, random_sequence, random_vector
+from exactspan import core
+from exactspan.core import mat_product, matrix_from_columns
+from exactspan.randgen import (
+    random_frame,
+    random_frame_pair,
+    random_invertible_matrix,
+    random_sequence,
+    random_vector,
+)
+from test_kernels import BIG, rand_entry, rand_rows
 
 FIELDS = (GF(2), GF(3), GF(5), QQ)
 FIELD_IDS = ("gf2", "gf3", "gf5", "q")
@@ -138,21 +152,73 @@ def test_steinitz_matches_greedy_rank_prefix(field):
         assert (extended.seq, picked, r) == (current, greedy_picked, len(greedy_picked))
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def assert_trace_matches_per_map_route(e, f):
+    trace = trace_induction(e, f)
+    got = [
+        (level.e, level.f, level.witnesses, level.coefficient_matrix.entries)
+        for level in trace.levels
+    ]
+    assert got == per_map_trace(e, f)
+    for level in trace.levels:
+        expected = [build_annihilating_map(level.e, level.f, i) for i in range(level.rank)]
+        assert list(level.maps) == (expected if level.rank > 1 else [])
+
+
+@pytest.mark.parametrize("field", FIELDS + (GF(65521),), ids=FIELD_IDS + ("gf65521",))
 def test_trace_matches_per_map_route(field):
     rng = random.Random(53)
-    for _ in range(12):
-        n = rng.randint(1, 5)
-        e, f = random_frame_pair(field, rng.randint(n, 6), n, rng)
-        trace = trace_induction(e, f)
-        got = [
-            (level.e, level.f, level.witnesses, level.coefficient_matrix.entries)
-            for level in trace.levels
+    for n in (*range(1, 9), 2, 3, 4, 5):
+        e, f = random_frame_pair(field, rng.randint(n, n + 6), n, rng)
+        assert_trace_matches_per_map_route(e, f)
+
+
+def wide_q_frame_pair(rng, n, m, small_answers):
+    """A Q frame pair (e, f) with e = f·A for a small invertible A, whose f
+    has 20-bit entries, so that cleared, the rows [fk | I] are wider than a
+    machine word.  With ``small_answers`` f = L·R for R in reduced echelon
+    form and L unit lower triangular with small entries: each level's
+    canonical basis R[:k] and transform L[:k, :k]^-1 are small, and the
+    modular route certifies them; otherwise they are too large to
+    reconstruct, and the route falls back to Bareiss."""
+    if small_answers:
+        pivots = sorted(rng.sample(range(m), n))
+        r = [
+            [Fraction(int(j == c)) if j <= c or j in pivots else rand_entry(rng, None, BIG) for j in range(m)]
+            for c in pivots
         ]
-        assert got == per_map_trace(e, f)
-        for level in trace.levels:
-            expected = [build_annihilating_map(level.e, level.f, i) for i in range(level.rank)]
-            assert list(level.maps) == (expected if level.rank > 1 else [])
+        low = [[int(i == j) if j >= i else rng.randint(-9, 9) for j in range(n)] for i in range(n)]
+        rows = [[sum(low[i][k] * r[k][j] for k in range(n)) for j in range(m)] for i in range(n)]
+    else:
+        rows = rand_rows(rng, None, n, m, BIG)
+    f = Frame(sequence(QQ, rows))
+    fa = mat_product(matrix_from_columns(f.seq), random_invertible_matrix(QQ, n, rng))
+    return Frame(VecSequence(QQ, m, tuple(zip(*fa.values)))), f
+
+
+def test_trace_matches_per_map_route_on_wide_q_rows(monkeypatch):
+    """The lower levels, which eliminate fewer than n rows, reach the
+    certified modular route and, when it certifies nothing, its Bareiss
+    fallback."""
+    rng = random.Random(54)
+    helper = core._rref_rational_modular
+    calls = []
+
+    def counted(rows, n_cols):
+        out = helper(rows, n_cols)
+        calls.append((len(rows), out is not None))
+        return out
+
+    certified = set()
+    for small_answers in (True, False):
+        for n in (3, 5):
+            e, f = wide_q_frame_pair(rng, n, n + 4, small_answers)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_rref_rational_modular", counted)
+                trace_induction(e, f)
+            certified.update(ok for rows, ok in calls if rows < n)
+            assert_trace_matches_per_map_route(e, f)
+    assert certified == {True, False}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

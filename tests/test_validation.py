@@ -91,3 +91,29 @@ def test_target_of_another_width(name):
         with pytest.raises(ValueError, match="^target ambient dimension mismatch$") as info:
             call(vector(GF5, entries))
         assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "field, dim, error, message",
+    [
+        (GF(3), 2, FieldMismatchError, "target field mismatch"),
+        (GF(3), 5, FieldMismatchError, "target field mismatch"),
+        (GF(2), 5, ValueError, "target ambient dimension mismatch"),
+    ],
+    ids=["other_field", "other_field_and_width", "other_width"],
+)
+def test_empty_sequence_and_zero_subspace_of_another_space(field, dim, error, message):
+    """An empty sequence, or a zero subspace, still lies in one space: a
+    comparison with a subspace of another space raises like a nonempty one."""
+    sub = span_of(sequence(GF(2), [[1, 0]]))
+    empty = sequence(field, [], ambient_dim=dim)
+    zero = span_of(sequence(field, [[0] * dim]))
+    for call in (
+        lambda: sub.contains_seq(empty),
+        lambda: span_of(empty) <= sub,
+        lambda: zero <= sub,
+        lambda: sub.contains_seq(zero.canonical_basis),
+    ):
+        with pytest.raises(error, match=f"^{message}$") as info:
+            call()
+        assert type(info.value) is error
